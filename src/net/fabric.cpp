@@ -34,6 +34,7 @@ NetNode::NetNode(Fabric& fabric, std::string name, Ip6Address unicast, NodeProfi
       parent_(parent),
       shard_(shard) {
   if (parent != nullptr) {
+    child_index_ = parent->children_.size();
     parent->children_.push_back(this);
     depth_ = parent->depth_ + 1;
   }
@@ -66,6 +67,17 @@ bool NetNode::InGroup(const Ip6Address& group) const {
 size_t NetNode::group_count() const {
   std::shared_lock lock(fabric_.membership_mutex_);
   return groups_.size();
+}
+
+std::vector<NetNode*> NetNode::ForwardingChildren(const Ip6Address& group) const {
+  std::shared_lock lock(fabric_.membership_mutex_);
+  auto it = forwarding_.find(group);
+  return it == forwarding_.end() ? std::vector<NetNode*>{} : it->second.member_children;
+}
+
+size_t NetNode::forwarding_group_count() const {
+  std::shared_lock lock(fabric_.membership_mutex_);
+  return forwarding_.size();
 }
 
 void NetNode::BindAnycast(const Ip6Address& anycast) {
@@ -345,14 +357,34 @@ void Fabric::RouteUnicast(RouteContext& ctx, NetNode& src, NetNode& dst,
 
 void Fabric::UpdateSubtreeMembershipLocked(NetNode& node, const Ip6Address& group, int delta) {
   // Propagate membership up the tree (the DAO-style state SMRF piggybacks
-  // on RPL for).
-  NetNode* current = &node;
-  while (current != nullptr) {
-    current->subtree_members_[group] += delta;
-    if (current->subtree_members_[group] <= 0) {
-      current->subtree_members_.erase(group);
+  // on RPL for).  A node's subtree count changes on every ancestor, but a
+  // parent's forwarding list changes only where the child's count crosses
+  // 0 <-> 1; above the first node that does not cross, only counts move.
+  NetNode* child = nullptr;
+  bool child_crossed = false;
+  for (NetNode* current = &node; current != nullptr;
+       child = current, current = current->parent()) {
+    NetNode::Forwarding& record = current->forwarding_[group];
+    if (child_crossed) {
+      std::vector<NetNode*>& list = record.member_children;
+      auto at = std::lower_bound(list.begin(), list.end(), child,
+                                 [](const NetNode* a, const NetNode* b) {
+                                   return a->child_index_ < b->child_index_;
+                                 });
+      if (delta > 0) {
+        list.insert(at, child);
+      } else {
+        assert(at != list.end() && *at == child);
+        list.erase(at);
+      }
     }
-    current = current->parent();
+    const int before = record.subtree_members;
+    record.subtree_members += delta;
+    child_crossed = (before == 0) != (record.subtree_members == 0);
+    if (record.subtree_members <= 0) {
+      assert(record.member_children.empty());
+      current->forwarding_.erase(group);
+    }
   }
 }
 
@@ -401,13 +433,19 @@ void Fabric::RouteMulticast(RouteContext& ctx, NetNode& src, const Ip6Address& g
         deliveries.push_back({dst, current.latency + rx});
       }
 
-      // Forward into child subtrees.
-      for (NetNode* child : current.node->children()) {
-        const bool has_members = child->subtree_members_.count(group) != 0;
-        const bool forward = (multicast_mode_ == MulticastMode::kFlooding) || has_members;
-        if (!forward) {
+      // Forward into child subtrees: every child when flooding, otherwise
+      // only the children on the node's SMRF forwarding list.  The list is
+      // in children() order, so SMRF draws from ctx.rng in the same order a
+      // filtered scan of children() would.
+      const std::vector<NetNode*>* next = &current.node->children();
+      if (multicast_mode_ == MulticastMode::kSmrf) {
+        auto record = current.node->forwarding_.find(group);
+        if (record == current.node->forwarding_.end()) {
           continue;
         }
+        next = &record->second.member_children;
+      }
+      for (NetNode* child : *next) {
         ctx.single_hop.assign(1, Transfer{current.node, child});
         std::optional<double> wire =
             SimulateHops(ctx, ctx.single_hop, payload.size(), /*multicast=*/true);

@@ -10,7 +10,10 @@
 //  * unicast routed along the tree (RPL storing mode);
 //  * multicast via SMRF: packets travel up to the root, then down only into
 //    subtrees containing group members — plus a classic-flooding mode used
-//    by the A2 ablation;
+//    by the A2 ablation.  Each node keeps per-group forwarding state (its
+//    subtree's member count and the children whose subtree holds a
+//    member), updated on join/leave, so a send costs O(depth + member
+//    subtree);
 //  * anycast delivered to the nearest node bound to the anycast address;
 //  * optional per-link loss for the unreliable-network experiments the
 //    paper defers to future work (Section 9).
@@ -31,9 +34,13 @@
 //    non-sharded (single-threaded) build there is exactly one context,
 //    seeded as before, which preserves the historical RNG draw order bit
 //    for bit.
-//  * Shared mutable: multicast/anycast membership (guarded by a
-//    shared_mutex; reads are the common case) and the global frame counters
-//    (relaxed atomics).
+//  * Shared mutable: multicast/anycast membership and the SMRF forwarding
+//    records (guarded by a shared_mutex: Join/Leave update the records on
+//    the path to the root under the exclusive lock, descents read them
+//    under the shared one) and the global frame counters (relaxed atomics).
+//    Forwarding lists stay in children() order, so an SMRF descent draws
+//    from the route context's RNG in the same order as a filtered scan of
+//    the children would.
 //
 // Delivery crossing shards is not a direct Scheduler call: the sender
 // computes the absolute due time and hands the delivery closure to the
@@ -135,6 +142,12 @@ class NetNode {
   const std::vector<NetNode*>& children() const { return children_; }
   int depth() const { return depth_; }
 
+  // SMRF forwarding state for `group` (read-only views for tests and
+  // tooling): the children whose subtree holds a member, in children()
+  // order, and the number of groups this node keeps a record for.
+  std::vector<NetNode*> ForwardingChildren(const Ip6Address& group) const;
+  size_t forwarding_group_count() const;
+
   // Shard owning this node in the parallel runtime (0 when not sharded).
   // All of the node's handlers and timers run on that shard's scheduler.
   uint32_t shard() const { return shard_; }
@@ -158,13 +171,20 @@ class NetNode {
   std::vector<NetNode*> children_;
   int depth_ = 0;
   uint32_t shard_ = 0;
+  // Position in parent_->children_: orders the SMRF forwarding lists.
+  size_t child_index_ = 0;
   std::unordered_map<uint16_t, UdpHandler> handlers_;
-  // groups_ / subtree_members_ are guarded by Fabric::membership_mutex_
-  // (written by the owner shard, read by any routing shard during SMRF
-  // descent).
+  // groups_ / forwarding_ are guarded by Fabric::membership_mutex_ (written
+  // by the owner shard, read by any routing shard during SMRF descent).
   std::unordered_set<Ip6Address> groups_;
-  // Groups joined by this node or any descendant (SMRF pruning state).
-  std::unordered_map<Ip6Address, int> subtree_members_;
+  // SMRF forwarding record of one group: members in this node's subtree
+  // (itself included) and the children whose subtree holds one, kept in
+  // children_ order.  A record exists only while subtree_members > 0.
+  struct Forwarding {
+    int subtree_members = 0;
+    std::vector<NetNode*> member_children;
+  };
+  std::unordered_map<Ip6Address, Forwarding> forwarding_;
   // Owner-shard-only counters: bumped on the node's own shard (send from the
   // owner, delivery closures run on the owner), so no atomics needed.
   uint64_t datagrams_sent_ = 0;
@@ -295,7 +315,7 @@ class Fabric {
   std::unordered_map<Ip6Address, NetNode*> nodes_by_address_;
   std::unordered_map<Ip6Address, std::vector<NetNode*>> anycast_bindings_;
 
-  // Guards groups_/subtree_members_ on every node plus anycast_bindings_.
+  // Guards groups_/forwarding_ on every node plus anycast_bindings_.
   mutable std::shared_mutex membership_mutex_;
 
   // Single-threaded routing context; carries the fabric's historical RNG

@@ -524,6 +524,11 @@ void MicroPnpThing::InstallReceivedDriver(ChannelId channel, DeviceTypeId id,
 void MicroPnpThing::ActivateAndAdvertise(ChannelId channel, DeviceTypeId id) {
   scheduler_.ScheduleAfter(
       SimTime::FromMillis(Jitter(config_.install_activate_cpu_ms)), [this, channel, id] {
+        if (driver_manager_.HostForChannel(channel) != nullptr) {
+          // Two paths scheduled this activation (e.g. an install completing
+          // and a late offer or retry for the same channel): the first won.
+          return;
+        }
         Status activated = driver_manager_.Activate(channel, id, controller_.bus(channel));
         if (!activated.ok()) {
           MLOG(kWarning, "thing") << "driver activation failed: " << activated.ToString();
@@ -769,15 +774,34 @@ void MicroPnpThing::StreamTick(ChannelId channel, uint64_t generation) {
 
 void MicroPnpThing::HandleWrite(const Ip6Address& src, const Message& m) {
   const auto* write = m.payload_as<WritePayload>();
+  const SimTime now = scheduler_.now();
+  const SimTime window = SimTime::FromMillis(kWriteDedupWindowMs);
+  auto copy = std::find_if(recent_writes_.begin(), recent_writes_.end(),
+                           [&](const RecentWrite& w) {
+                             return w.client == src && w.sequence == m.sequence &&
+                                    w.device == write->device_id && w.value == write->value &&
+                                    now - w.received <= window;
+                           });
   uint8_t status = 1;  // not found
-  for (ChannelId ch = 0; ch < controller_.num_channels(); ++ch) {
-    if (controller_.identified(ch) == write->device_id &&
-        driver_manager_.HostForChannel(ch) != nullptr) {
-      router_.Post(ch, Event::Of(kEventWrite, write->value));
-      ++writes_served_;
-      status = 0;
-      break;
+  if (copy != recent_writes_.end()) {
+    // A retransmitted copy whose (17) was lost: acknowledge again, but the
+    // value was already applied — applying it twice could overwrite a newer
+    // write that landed in between.
+    status = copy->status;
+  } else {
+    for (ChannelId ch = 0; ch < controller_.num_channels(); ++ch) {
+      if (controller_.identified(ch) == write->device_id &&
+          driver_manager_.HostForChannel(ch) != nullptr) {
+        router_.Post(ch, Event::Of(kEventWrite, write->value));
+        ++writes_served_;
+        status = 0;
+        break;
+      }
     }
+    if (recent_writes_.size() == kRecentWrites) {
+      recent_writes_.erase(recent_writes_.begin());
+    }
+    recent_writes_.push_back({src, m.sequence, write->device_id, write->value, status, now});
   }
   // (17) acknowledgement confirming the establishment of the new value.
   scheduler_.ScheduleAfter(

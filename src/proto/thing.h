@@ -120,6 +120,15 @@ class MicroPnpThing {
   // Pre-provisions a driver image locally (no over-the-air request needed).
   Status PreinstallDriver(const DriverImage& image);
 
+  // A write (16) whose (source, sequence, device, value) matches one of the
+  // last kRecentWrites writes received within this window is a retransmitted
+  // copy: it is acknowledged again with the remembered status but not
+  // applied again.  The window covers the longest client write deadline in
+  // use (16 s) and must stay below the time a client takes to wrap its
+  // 16-bit sequence space (about 30 s at the ~2k requests/s of the fleet
+  // benchmarks).
+  static constexpr double kWriteDedupWindowMs = 20000.0;
+
   // --- instrumentation --------------------------------------------------------
   const std::optional<PlugFlowMarks>& last_plug_flow() const { return last_flow_; }
   uint64_t advertisements_sent() const { return advertisements_sent_; }
@@ -139,6 +148,16 @@ class MicroPnpThing {
     Ip6Address client;
     SequenceNumber sequence;
   };
+  // A recently applied write and the status its (17) carried.
+  struct RecentWrite {
+    Ip6Address client;
+    SequenceNumber sequence = 0;
+    DeviceTypeId device = 0;
+    int32_t value = 0;
+    uint8_t status = 0;
+    SimTime received;
+  };
+  static constexpr size_t kRecentWrites = 4;
   struct StreamState {
     bool active = false;
     uint32_t period_ms = 0;
@@ -228,6 +247,9 @@ class MicroPnpThing {
   std::map<ChannelId, StreamState> streams_;
   std::map<ChannelId, FlowState> flows_;
   std::map<DeviceTypeId, DriverTransfer> transfers_;
+  // The last kRecentWrites writes, oldest first (empty until the first
+  // write, so Things that never see one carry no entries).
+  std::vector<RecentWrite> recent_writes_;
   std::optional<PlugFlowMarks> last_flow_;
   // Trickle state: 0 interval = dormant; the generation invalidates
   // scheduled ticks after a reset.

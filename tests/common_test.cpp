@@ -202,6 +202,32 @@ TEST(Crc, EmptyInput) {
   EXPECT_EQ(Crc32(ByteSpan()), 0u);
 }
 
+// Bit-at-a-time CRC-16/CCITT-FALSE: the textbook definition, kept here as
+// the differential oracle for the table-driven library version.
+uint16_t BitwiseCrc16Ccitt(const std::vector<uint8_t>& data) {
+  uint16_t crc = 0xffff;
+  for (uint8_t byte : data) {
+    crc = static_cast<uint16_t>(crc ^ (static_cast<uint16_t>(byte) << 8));
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 0x8000u) ? static_cast<uint16_t>((crc << 1) ^ 0x1021u)
+                            : static_cast<uint16_t>(crc << 1);
+    }
+  }
+  return crc;
+}
+
+TEST(Crc, Crc16CcittMatchesBitwiseOracle) {
+  Rng rng(0xc0ffee);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<uint8_t> data(rng.UniformInt(0, 300));
+    for (uint8_t& byte : data) {
+      byte = static_cast<uint8_t>(rng.NextU32());
+    }
+    ASSERT_EQ(Crc16Ccitt(ByteSpan(data.data(), data.size())), BitwiseCrc16Ccitt(data))
+        << "length " << data.size();
+  }
+}
+
 TEST(Crc, DetectsSingleBitFlip) {
   std::vector<uint8_t> data = {0x10, 0x20, 0x30, 0x40};
   const uint16_t original = Crc16Ccitt(ByteSpan(data.data(), data.size()));

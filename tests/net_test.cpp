@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+
+#include "src/common/rng.h"
 #include "src/net/fabric.h"
 #include "src/net/ip6.h"
 #include "src/net/multicast_schema.h"
@@ -263,6 +267,144 @@ TEST_F(FabricTest, SelfSendLoopsBack) {
   sched_.Run();
   EXPECT_EQ(received, 1);
   EXPECT_EQ(fabric_.frames_transmitted(), 0u);  // never hits the radio
+}
+
+// ------------------------------------------------- SMRF forwarding state ----
+
+// A random DODAG: node 0 is the root, every later node hangs under a
+// uniformly chosen earlier one.
+struct RandomTree {
+  RandomTree(uint64_t seed, int size) : fabric(sched, seed), rng(seed) {
+    for (int i = 0; i < size; ++i) {
+      std::array<uint8_t, 16> raw = Ip6Address::Parse("2001:db8::")->bytes();
+      raw[15] = static_cast<uint8_t>(i + 1);  // trees stay below 255 nodes
+      NetNode* parent = i == 0 ? nullptr : nodes[rng.UniformInt(0, nodes.size() - 1)];
+      nodes.push_back(fabric.CreateNode(std::to_string(i), Ip6Address(raw),
+                                        NodeProfile::Embedded(), parent));
+    }
+  }
+
+  // Brute force from group membership alone: does `node`'s subtree hold a
+  // member of `group`?
+  static bool SubtreeHasMember(NetNode* node, const Ip6Address& group) {
+    if (node->InGroup(group)) {
+      return true;
+    }
+    for (NetNode* child : node->children()) {
+      if (SubtreeHasMember(child, group)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  Scheduler sched;
+  Fabric fabric;
+  Rng rng;
+  std::vector<NetNode*> nodes;
+};
+
+TEST(SmrfForwardingState, MatchesBruteForceUnderChurn) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    RandomTree tree(seed, 48);
+    const NetworkPrefix48 prefix = PrefixOf(tree.nodes[0]->address());
+    const std::vector<Ip6Address> groups = {PeripheralGroup(prefix, 0x10),
+                                            PeripheralGroup(prefix, 0x20),
+                                            AllClientsGroup(prefix)};
+    // Churn is issued from a handful of sources, so the same subtrees keep
+    // crossing 0 <-> 1 members (join, leave, re-join).
+    std::vector<NetNode*> sources;
+    for (int i = 0; i < 12; ++i) {
+      sources.push_back(tree.nodes[tree.rng.UniformInt(0, tree.nodes.size() - 1)]);
+    }
+    auto check = [&](int step) {
+      for (NetNode* node : tree.nodes) {
+        size_t groups_with_members = 0;
+        for (const Ip6Address& group : groups) {
+          std::vector<NetNode*> expected;
+          for (NetNode* child : node->children()) {
+            if (RandomTree::SubtreeHasMember(child, group)) {
+              expected.push_back(child);
+            }
+          }
+          ASSERT_EQ(node->ForwardingChildren(group), expected)
+              << "seed " << seed << " step " << step << " node " << node->name();
+          if (RandomTree::SubtreeHasMember(node, group)) {
+            ++groups_with_members;
+          }
+        }
+        ASSERT_EQ(node->forwarding_group_count(), groups_with_members)
+            << "seed " << seed << " step " << step << " node " << node->name();
+      }
+    };
+    for (int step = 0; step < 200; ++step) {
+      NetNode* node = sources[tree.rng.UniformInt(0, sources.size() - 1)];
+      const Ip6Address& group = groups[tree.rng.UniformInt(0, groups.size() - 1)];
+      if (node->InGroup(group)) {
+        node->LeaveGroup(group);
+      } else {
+        node->JoinGroup(group);
+      }
+      check(step);
+    }
+    // Drain every group: no forwarding record may outlive its members.
+    for (NetNode* node : tree.nodes) {
+      for (const Ip6Address& group : groups) {
+        node->LeaveGroup(group);
+      }
+    }
+    check(-1);
+    for (NetNode* node : tree.nodes) {
+      EXPECT_EQ(node->forwarding_group_count(), 0u) << node->name();
+    }
+  }
+}
+
+TEST(SmrfForwardingState, DeliveryAndFramesMatchSteinerSubtree) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    for (MulticastMode mode : {MulticastMode::kSmrf, MulticastMode::kFlooding}) {
+      RandomTree tree(seed, 40);
+      tree.fabric.set_multicast_mode(mode);
+      const Ip6Address group = PeripheralGroup(PrefixOf(tree.nodes[0]->address()), 0x33);
+      std::set<NetNode*> members;
+      for (int i = 0; i < 6; ++i) {
+        NetNode* member = tree.nodes[tree.rng.UniformInt(0, tree.nodes.size() - 1)];
+        member->JoinGroup(group);
+        members.insert(member);
+      }
+      std::set<NetNode*> delivered;
+      for (NetNode* node : tree.nodes) {
+        node->BindUdp(6030, [&delivered, node](const Ip6Address&, const Ip6Address&, uint16_t,
+                                               const std::vector<uint8_t>&) {
+          EXPECT_TRUE(delivered.insert(node).second) << "duplicate delivery to " << node->name();
+        });
+      }
+      // The Steiner subtree spanning the root and every member: each
+      // non-root node on a root-to-member path is one descent edge.
+      std::set<NetNode*> steiner;
+      for (NetNode* member : members) {
+        for (NetNode* n = member; n->parent() != nullptr; n = n->parent()) {
+          steiner.insert(n);
+        }
+      }
+      for (int send = 0; send < 4; ++send) {
+        NetNode* src = tree.nodes[tree.rng.UniformInt(0, tree.nodes.size() - 1)];
+        delivered.clear();
+        tree.fabric.ResetStats();
+        src->SendUdp(group, 6030, {1});  // one fragment per hop
+        tree.sched.Run();
+
+        std::set<NetNode*> expected = members;
+        expected.erase(src);  // no loopback to the sender
+        EXPECT_EQ(delivered, expected) << "seed " << seed << " send " << send;
+        const uint64_t descent = mode == MulticastMode::kSmrf ? steiner.size()
+                                                              : tree.nodes.size() - 1;
+        EXPECT_EQ(tree.fabric.multicast_frames(),
+                  static_cast<uint64_t>(src->depth()) + descent)
+            << "seed " << seed << " send " << send;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -142,7 +142,9 @@ TEST(ChunkedTransfer, SurvivesLossyMultihopFabric) {
 class FakeManager {
  public:
   FakeManager(Deployment& deployment, DeviceTypeId device)
-      : node_(deployment.AddRelayNode("fake-manager")), device_(device) {
+      : scheduler_(deployment.scheduler()),
+        node_(deployment.AddRelayNode("fake-manager")),
+        device_(device) {
     image_bytes_ = CompiledBundledDriver(device).Serialize();
     crc_ = Crc32(image_bytes_);
     for (size_t off = 0; off < image_bytes_.size(); off += kChunkBytes) {
@@ -163,11 +165,13 @@ class FakeManager {
   const std::vector<DriverRequestPayload>& requests() const { return requests_; }
 
   // Test hooks: which chunk indices the next request serves, whether NACKs
-  // are honoured, and how many copies of each chunk go out (duplication).
+  // are honoured, how many copies of each chunk go out (duplication), and
+  // how long the offer trails its chunks (reordering).
   std::function<std::vector<uint16_t>(const DriverRequestPayload&)> serve_plan;
   bool honour_nacks = false;
   int copies_per_chunk = 1;
   bool reverse_order = false;
+  double offer_delay_ms = 0.0;
 
  private:
   static constexpr size_t kChunkBytes = 56;
@@ -181,8 +185,15 @@ class FakeManager {
       requests_.push_back(*req);
       DriverOfferPayload offer{device_, crc_, static_cast<uint32_t>(image_bytes_.size()),
                                kChunkBytes, chunk_count(), 0};
-      node_->SendUdp(src, kMicroPnpUdpPort,
-                     MakeMessage(MessageType::kDriverUploadOffer, m->sequence, offer).Serialize());
+      const std::vector<uint8_t> offer_wire =
+          MakeMessage(MessageType::kDriverUploadOffer, m->sequence, offer).Serialize();
+      if (offer_delay_ms > 0.0) {
+        scheduler_.ScheduleAfter(SimTime::FromMillis(offer_delay_ms), [this, src, offer_wire] {
+          node_->SendUdp(src, kMicroPnpUdpPort, offer_wire);
+        });
+      } else {
+        node_->SendUdp(src, kMicroPnpUdpPort, offer_wire);
+      }
       std::vector<uint16_t> plan;
       for (uint16_t i = 0; i < chunk_count(); ++i) plan.push_back(i);
       if (serve_plan) plan = serve_plan(*req);
@@ -210,6 +221,7 @@ class FakeManager {
     }
   }
 
+  Scheduler& scheduler_;
   NetNode* node_;
   DeviceTypeId device_;
   std::vector<uint8_t> image_bytes_;
@@ -430,6 +442,96 @@ TEST(PlugFlowRecovery, DuplicateStopStreamCompletesIdempotently) {
 
   // Both stops completed on a (15) answer, not by timing out.
   EXPECT_EQ(client.endpoint().counters().deadline_exceeded, 0u);
+}
+
+TEST(PlugFlowRecovery, LateOfferAfterChunkInstallActivatesOnce) {
+  // Regression: an (18) that trails its chunks reaches the Thing after the
+  // image was installed from the chunks alone, while that install's
+  // activation is still pending.  Both paths used to schedule an activation
+  // for the channel; the second failed with already_exists.  The widened
+  // activation time puts the offer inside that window deterministically.
+  ThingConfig tuning;
+  tuning.install_activate_cpu_ms = 3000.0;
+  tuning.readvertise_min_ms = 0.0;  // count only the plug's own (1)
+
+  Deployment deployment(SeededConfig(71011));
+  MicroPnpThing& thing = deployment.AddThing("thing", nullptr, tuning);
+  MicroPnpClient& client = deployment.AddClient("client");
+  FakeManager fake(deployment, kTmp36TypeId);
+  fake.offer_delay_ms = 1000.0;
+
+  testing::internal::CaptureStderr();
+  Tmp36& sensor = deployment.MakeTmp36();
+  ASSERT_TRUE(thing.Plug(0, &sensor).ok());
+  deployment.RunForMillis(1500);
+  // The offer has arrived; the image is installed but not yet activated.
+  const bool installed_before_activation =
+      thing.drivers().HasDriverFor(kTmp36TypeId) && thing.drivers().HostForChannel(0) == nullptr;
+  deployment.RunForMillis(8500);
+  const std::string log = testing::internal::GetCapturedStderr();
+
+  EXPECT_TRUE(installed_before_activation);
+  EXPECT_NE(thing.drivers().HostForChannel(0), nullptr);
+  EXPECT_EQ(thing.drivers().installs(), 1u);
+  EXPECT_EQ(log.find("activation failed"), std::string::npos) << log;
+  EXPECT_EQ(thing.advertisements_sent(), 1u);
+  EXPECT_EQ(client.advertisements_seen(), 1u);
+}
+
+TEST(PlugFlowRecovery, RetransmittedWriteIsAppliedOnce) {
+  // Regression: a Thing applied every copy of a retransmitted (16).  A copy
+  // sent because its (17) was lost ran the write handler again, and a copy
+  // arriving after a newer write rolled the relay back to the older value.
+  Deployment deployment(SeededConfig(71012));
+  deployment.AddManager();
+  MicroPnpThing& thing = deployment.AddThing("thing");
+  Relay& relay = deployment.MakeRelay();
+  ASSERT_TRUE(thing.Plug(0, &relay).ok());
+  deployment.RunForMillis(5000);
+  ASSERT_NE(thing.drivers().HostForChannel(0), nullptr);
+
+  // A bare node plays the client, so the test decides which copies exist.
+  NetNode* writer = deployment.AddRelayNode("writer");
+  std::vector<std::pair<SequenceNumber, uint8_t>> acks;
+  writer->BindUdp(kMicroPnpUdpPort, [&](const Ip6Address&, const Ip6Address&, uint16_t,
+                                        const std::vector<uint8_t>& payload) {
+    Result<Message> m = Message::Parse(payload);
+    ASSERT_TRUE(m.ok());
+    ASSERT_EQ(m->type, MessageType::kWriteAck);
+    acks.emplace_back(m->sequence, m->payload_as<StatusAckPayload>()->status);
+  });
+  auto send_write = [&](SequenceNumber seq, int32_t value) {
+    writer->SendUdp(thing.node().address(), kMicroPnpUdpPort,
+                    MakeMessage(MessageType::kWrite, seq, WritePayload{kRelayTypeId, value})
+                        .Serialize());
+    deployment.RunForMillis(1000);
+  };
+
+  send_write(7, 1);
+  send_write(7, 1);  // the retransmission after a lost (17)
+  EXPECT_EQ(thing.writes_served(), 1u);
+  EXPECT_TRUE(relay.closed());
+  EXPECT_EQ(relay.switch_count(), 1u);
+  ASSERT_EQ(acks.size(), 2u);
+  EXPECT_EQ(acks[0], acks[1]);
+  EXPECT_EQ(acks[0].second, 0);  // applied
+
+  // A late copy of write 7 behind the newer write 8 is acknowledged only.
+  send_write(8, 0);
+  send_write(7, 1);
+  EXPECT_EQ(thing.writes_served(), 2u);
+  EXPECT_FALSE(relay.closed());
+  EXPECT_EQ(relay.switch_count(), 2u);
+  ASSERT_EQ(acks.size(), 4u);
+  EXPECT_EQ(acks[3], acks[0]);
+
+  // Past the dedup window the same (source, sequence) is a new write: the
+  // client's sequence space has wrapped.
+  deployment.RunForMillis(MicroPnpThing::kWriteDedupWindowMs);
+  send_write(7, 1);
+  EXPECT_EQ(thing.writes_served(), 3u);
+  EXPECT_TRUE(relay.closed());
+  EXPECT_EQ(acks.size(), 5u);
 }
 
 }  // namespace
