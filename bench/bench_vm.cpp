@@ -120,7 +120,7 @@ void WriteVmJson(const CycleModelMetrics& m, const std::vector<ThreadSweepCell>&
 
 // Fixed total work split across T threads: each worker owns a Vm but all
 // execute the same decoded image, exercising the verify-once / shared
-// read-only image path the sharded runtime relies on.
+// read-only image path from several threads at once.
 std::vector<ThreadSweepCell> RunThreadSweep(const std::vector<int>& axis) {
   std::vector<ThreadSweepCell> cells;
   std::shared_ptr<const DecodedImage> decoded = DecodeMixDriver();

@@ -6,8 +6,9 @@
 namespace micropnp {
 namespace {
 
-// Relaxed is enough: the level is a filter, not a synchronization point, and
-// any thread observing a slightly stale level only logs (or drops) a line.
+// The simulation logs from one thread, but bench_vm's thread sweep and
+// embedding programs may not; relaxed is enough, since the level is a
+// filter, not a synchronization point.
 std::atomic<LogLevel> g_level{LogLevel::kWarning};
 
 const char* LevelName(LogLevel level) {
@@ -37,10 +38,8 @@ void LogMessage(LogLevel level, const char* tag, const std::string& message) {
   if (level < GetLogLevel()) {
     return;
   }
-  // Shard workers log concurrently.  POSIX guarantees stdio calls are
-  // atomic with respect to each other (flockfile internally), so emitting
-  // the whole line in ONE fprintf keeps concurrent lines from interleaving
-  // mid-line; a line assembled from several calls would not be safe.
+  // One fprintf per line: POSIX stdio calls are atomic with respect to each
+  // other, so a caller on another thread cannot split the line.
   std::fprintf(stderr, "[%s] %s: %s\n", LevelName(level), tag, message.c_str());
 }
 

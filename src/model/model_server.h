@@ -21,11 +21,9 @@
 //    deadline) re-establishes with capped doubling backoff for as long as
 //    subscribers remain.
 //
-// Threading: a ModelServer is shard-affine.  It runs entirely on the
-// scheduler of the shard its MicroPnpClient is pinned to and takes no
-// locks; a multi-shard deployment runs one ModelServer per shard (see
-// RunModelBenchSharded), exactly like every other per-shard actor on the
-// PR 9 runtime.
+// Threading: a ModelServer runs entirely on the scheduler of its
+// MicroPnpClient's Deployment, the one thread that owns every node, and
+// takes no locks.
 //
 // Counter invariants (checked by tests and the bench):
 //   cache_hits + cache_misses == reads

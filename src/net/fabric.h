@@ -21,44 +21,21 @@
 // Per-frame transmissions are counted globally and per delivery, which is
 // what the SMRF-vs-flooding ablation measures.
 //
-// Threading model.  The fabric is the one component the parallel runtime
-// cannot shard outright: any node may send to any other node.  It is split
-// into three classes of state:
-//
-//  * Immutable-after-setup: the node tree (parent/children/depth), the
-//    address index, link model and profiles.  Built single-threaded before
-//    workers start; read lock-free afterwards.
-//  * Per-shard RouteContext: the RNG stream and the routing scratch buffers.
-//    Routing always runs on the *sending* node's shard, using that shard's
-//    context, so the hot path stays allocation- and lock-free.  In the
-//    non-sharded (single-threaded) build there is exactly one context,
-//    seeded as before, which preserves the historical RNG draw order bit
-//    for bit.
-//  * Shared mutable: multicast/anycast membership and the SMRF forwarding
-//    records (guarded by a shared_mutex: Join/Leave update the records on
-//    the path to the root under the exclusive lock, descents read them
-//    under the shared one) and the global frame counters (relaxed atomics).
-//    Forwarding lists stay in children() order, so an SMRF descent draws
-//    from the route context's RNG in the same order as a filtered scan of
-//    the children would.
-//
-// Delivery crossing shards is not a direct Scheduler call: the sender
-// computes the absolute due time and hands the delivery closure to the
-// destination shard's MPSC inbox (Shard::PostAt).  The link model gives
-// every cross-node delivery a latency of at least tx processing + CSMA
-// backoff + airtime + rx processing, which is the lookahead that makes the
-// conservative quantum scheme in ShardedRuntime sound; see
-// MinCrossShardLatencyMs().
+// Threading: single-threaded.  A fabric and every node on it run on the
+// one Scheduler of their Deployment, so nothing here locks.  Routing draws
+// from a single RNG stream (seeded from the scenario seed) and reuses one
+// set of scratch buffers, so the same seed produces the same draws in the
+// same order.  SMRF forwarding lists stay in children() order, so a descent
+// draws from that stream in the same order a filtered scan of the children
+// would.
 
 #ifndef SRC_NET_FABRIC_H_
 #define SRC_NET_FABRIC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -72,8 +49,6 @@
 #include "src/sim/scheduler.h"
 
 namespace micropnp {
-
-class Shard;
 
 // 802.15.4 / 6LoWPAN link model.
 struct LinkModel {
@@ -148,17 +123,13 @@ class NetNode {
   std::vector<NetNode*> ForwardingChildren(const Ip6Address& group) const;
   size_t forwarding_group_count() const;
 
-  // Shard owning this node in the parallel runtime (0 when not sharded).
-  // All of the node's handlers and timers run on that shard's scheduler.
-  uint32_t shard() const { return shard_; }
-
   uint64_t datagrams_sent() const { return datagrams_sent_; }
   uint64_t datagrams_received() const { return datagrams_received_; }
 
  private:
   friend class Fabric;
   NetNode(Fabric& fabric, std::string name, Ip6Address unicast, NodeProfile profile,
-          NetNode* parent, uint32_t shard);
+          NetNode* parent);
 
   void Deliver(const Ip6Address& src, const Ip6Address& dst, uint16_t port,
                const std::vector<uint8_t>& payload);
@@ -170,12 +141,9 @@ class NetNode {
   NetNode* parent_;
   std::vector<NetNode*> children_;
   int depth_ = 0;
-  uint32_t shard_ = 0;
   // Position in parent_->children_: orders the SMRF forwarding lists.
   size_t child_index_ = 0;
   std::unordered_map<uint16_t, UdpHandler> handlers_;
-  // groups_ / forwarding_ are guarded by Fabric::membership_mutex_ (written
-  // by the owner shard, read by any routing shard during SMRF descent).
   std::unordered_set<Ip6Address> groups_;
   // SMRF forwarding record of one group: members in this node's subtree
   // (itself included) and the children whose subtree holds one, kept in
@@ -185,8 +153,7 @@ class NetNode {
     std::vector<NetNode*> member_children;
   };
   std::unordered_map<Ip6Address, Forwarding> forwarding_;
-  // Owner-shard-only counters: bumped on the node's own shard (send from the
-  // owner, delivery closures run on the owner), so no atomics needed.
+  // Bumped by SendUdp and by delivery closures, both on the scheduler thread.
   uint64_t datagrams_sent_ = 0;
   uint64_t datagrams_received_ = 0;
 };
@@ -196,9 +163,8 @@ class Fabric {
   Fabric(Scheduler& scheduler, uint64_t seed, const LinkModel& link = LinkModel{});
 
   // Creates a node.  parent == nullptr makes a DODAG root (border router).
-  // `shard` pins the node to a runtime shard (ignored until EnableSharding).
   NetNode* CreateNode(const std::string& name, const Ip6Address& unicast,
-                      const NodeProfile& profile, NetNode* parent, uint32_t shard = 0);
+                      const NodeProfile& profile, NetNode* parent);
 
   Scheduler& scheduler() { return scheduler_; }
   const LinkModel& link() const { return link_; }
@@ -207,26 +173,10 @@ class Fabric {
   MulticastMode multicast_mode() const { return multicast_mode_; }
   void set_multicast_mode(MulticastMode mode) { multicast_mode_ = mode; }
 
-  // Switches delivery to the sharded runtime: each node's delivery closures
-  // are scheduled on (or posted to) its owning shard, and routing uses the
-  // calling shard's RouteContext.  Must be called after the topology is
-  // built and before workers start; shards[i] must be shard id i.
-  void EnableSharding(const std::vector<Shard*>& shards);
-  bool sharded() const { return !shards_.empty(); }
-
-  // Lower bound on the simulated latency of any delivery between two
-  // distinct nodes under the current link model: the conservative lookahead
-  // for the parallel runtime's quantum.
-  double MinCrossShardLatencyMs() const;
-
   // --- statistics -----------------------------------------------------------
-  uint64_t frames_transmitted() const {
-    return frames_transmitted_.load(std::memory_order_relaxed);
-  }
-  uint64_t frames_lost() const { return frames_lost_.load(std::memory_order_relaxed); }
-  uint64_t multicast_frames() const {
-    return multicast_frames_.load(std::memory_order_relaxed);
-  }
+  uint64_t frames_transmitted() const { return frames_transmitted_; }
+  uint64_t frames_lost() const { return frames_lost_; }
+  uint64_t multicast_frames() const { return multicast_frames_; }
   void ResetStats();
 
   // Hop distance along the tree between two nodes.
@@ -246,12 +196,11 @@ class Fabric {
     double latency;
   };
 
-  // Everything the routing hot path mutates, bundled per shard so routing
-  // never takes a lock.  The scratch buffers are reused across calls:
-  // routing runs at gateway datagram rates, and Route never re-enters
-  // (delivery happens later, from scheduler callbacks), so per-datagram
-  // path vectors would be pure allocator churn.  `in_route` backs a debug
-  // assertion that the single-owner reuse contract actually holds.
+  // Everything the routing hot path mutates.  The scratch buffers are
+  // reused across calls: routing runs at gateway datagram rates, and Route
+  // never re-enters (delivery happens later, from scheduler callbacks), so
+  // per-datagram path vectors would be pure allocator churn.  `in_route`
+  // backs a debug assertion that the single-owner reuse contract holds.
   struct RouteContext {
     explicit RouteContext(uint64_t seed) : rng(seed) {}
     Rng rng;
@@ -263,8 +212,8 @@ class Fabric {
     bool in_route = false;
   };
 
-  // Debug-asserts that no other Route call is live on this context for the
-  // duration of the guard (the scratch-buffer reentrancy contract).
+  // Debug-asserts that no other Route call is live for the duration of the
+  // guard (the scratch-buffer reentrancy contract).
   class ScratchGuard {
    public:
     explicit ScratchGuard(RouteContext& ctx);
@@ -276,58 +225,39 @@ class Fabric {
     RouteContext& ctx_;
   };
 
-  // The context for the calling thread: the base context when not sharded,
-  // otherwise the current shard's context (falling back to the source
-  // node's shard for main-thread sends before workers start).
-  RouteContext& ContextFor(const NetNode& src);
-
-  // Schedules `deliver` to run after `latency_ms` on dst's owning shard
-  // (plain ScheduleAfter when not sharded; MPSC hand-off when the sender
-  // runs on a different shard).
-  void ScheduleDelivery(NetNode& dst, double latency_ms, std::function<void()> deliver);
-
   void Route(NetNode& src, const Ip6Address& dst, uint16_t port,
              const std::vector<uint8_t>& payload);
-  void RouteUnicast(RouteContext& ctx, NetNode& src, NetNode& dst, const Ip6Address& dst_addr,
-                    uint16_t port, const std::vector<uint8_t>& payload);
-  void RouteMulticast(RouteContext& ctx, NetNode& src, const Ip6Address& group, uint16_t port,
+  void RouteUnicast(NetNode& src, NetNode& dst, const Ip6Address& dst_addr, uint16_t port,
+                    const std::vector<uint8_t>& payload);
+  void RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port,
                       const std::vector<uint8_t>& payload);
-  // Caller must hold membership_mutex_ exclusively.
-  void UpdateSubtreeMembershipLocked(NetNode& node, const Ip6Address& group, int delta);
+  void UpdateSubtreeMembership(NetNode& node, const Ip6Address& group, int delta);
 
   // Path along the tree (exclusive of src, inclusive of dst), built by a
-  // depth-lockstep walk to the lowest common ancestor into ctx's scratch.
-  const std::vector<NetNode*>& TreePath(RouteContext& ctx, NetNode& src, NetNode& dst);
+  // depth-lockstep walk to the lowest common ancestor into the scratch.
+  const std::vector<NetNode*>& TreePath(NetNode& src, NetNode& dst);
   // Per-link transfers along `path`, starting from `src` (scratch-backed).
-  const std::vector<Transfer>& BuildTransfers(RouteContext& ctx,
-                                              const std::vector<NetNode*>& path, NetNode* src);
+  const std::vector<Transfer>& BuildTransfers(const std::vector<NetNode*>& path, NetNode* src);
   // Simulates the hop-by-hop delivery delay, counting frames; returns the
   // total latency or nullopt if a frame was lost.
-  std::optional<double> SimulateHops(RouteContext& ctx, const std::vector<Transfer>& hops,
-                                     size_t payload_bytes, bool multicast);
+  std::optional<double> SimulateHops(const std::vector<Transfer>& hops, size_t payload_bytes,
+                                     bool multicast);
 
   Scheduler& scheduler_;
   LinkModel link_;
   MulticastMode multicast_mode_ = MulticastMode::kSmrf;
   std::vector<std::unique_ptr<NetNode>> nodes_;
   // O(1) unicast destination lookup (the seed scanned nodes_ linearly, which
-  // made every datagram O(N) at fleet scale).  Immutable once workers start.
+  // made every datagram O(N) at fleet scale).
   std::unordered_map<Ip6Address, NetNode*> nodes_by_address_;
   std::unordered_map<Ip6Address, std::vector<NetNode*>> anycast_bindings_;
 
-  // Guards groups_/forwarding_ on every node plus anycast_bindings_.
-  mutable std::shared_mutex membership_mutex_;
+  // The routing RNG stream and scratch buffers.
+  RouteContext context_;
 
-  // Single-threaded routing context; carries the fabric's historical RNG
-  // stream so non-sharded runs are bit-identical to the pre-sharding code.
-  RouteContext base_context_;
-  // One context per shard, created by EnableSharding.
-  std::vector<Shard*> shards_;
-  std::vector<std::unique_ptr<RouteContext>> shard_contexts_;
-
-  std::atomic<uint64_t> frames_transmitted_{0};
-  std::atomic<uint64_t> frames_lost_{0};
-  std::atomic<uint64_t> multicast_frames_{0};
+  uint64_t frames_transmitted_ = 0;
+  uint64_t frames_lost_ = 0;
+  uint64_t multicast_frames_ = 0;
 };
 
 }  // namespace micropnp

@@ -20,7 +20,7 @@ Result<std::shared_ptr<const DecodedImage>> SharedDecodeCache::GetOrDecode(
     }
   }
   // Decode outside the lock: verification is the expensive part, and two
-  // shards racing on the same new image just do the work twice, once ever.
+  // threads racing on the same new image just do the work twice, once ever.
   Result<std::shared_ptr<const DecodedImage>> result = DecodedImage::DecodeShared(image, crc);
   if (!result.ok()) {
     return result;

@@ -31,15 +31,16 @@
 
 namespace micropnp {
 
-// Process-wide verify-once store of decoded driver images, shared by every
-// driver manager in a deployment (across runtime shards).  A fleet of 10k
-// Things installing the same driver verifies and decodes it exactly once;
-// everyone else gets the shared immutable DecodedImage.
+// Verify-once store of decoded driver images, shared by every driver
+// manager in a deployment.  A fleet of 10k Things installing the same
+// driver verifies and decodes it exactly once; everyone else gets the
+// shared immutable DecodedImage.
 //
-// Thread-safety: the mutex guards only the CRC -> image map on the install
-// path.  A DecodedImage is immutable after decode, so shards execute from
-// shared images lock-free; the shared_ptr control block handles lifetime.
-// Hits byte-compare against the stored image so a CRC collision can never
+// A Deployment calls it from its one scheduler thread.  The mutex guards
+// only the CRC -> image map, so one cache can also be shared by
+// deployments driven from different threads; a DecodedImage is immutable
+// after decode and the shared_ptr control block handles lifetime.  Hits
+// byte-compare against the stored image so a CRC collision can never
 // bypass verification.
 class SharedDecodeCache {
  public:
@@ -63,8 +64,8 @@ class DriverManager {
   static constexpr size_t kDecodeCacheCapacity = 32;
 
   // `shared_cache` (optional) is consulted before the local decode cache;
-  // it must outlive the manager.  The sharded Deployment passes one cache
-  // to every Thing so identical images decode once per process.
+  // it must outlive the manager.  The Deployment passes one cache to every
+  // Thing so identical images decode once per deployment.
   DriverManager(Scheduler& scheduler, EventRouter& router,
                 SharedDecodeCache* shared_cache = nullptr);
 

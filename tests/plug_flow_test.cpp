@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/common/crc.h"
@@ -532,6 +534,134 @@ TEST(PlugFlowRecovery, RetransmittedWriteIsAppliedOnce) {
   EXPECT_EQ(thing.writes_served(), 3u);
   EXPECT_TRUE(relay.closed());
   EXPECT_EQ(acks.size(), 5u);
+}
+
+// ------------------------------------------------------------ fleet churn ---
+
+// Closed read loops from several clients over a fleet whose peripherals
+// unplug and re-plug mid-run.  Reads racing an unplug may fail, but every
+// one must resolve exactly once, every pending table must drain, and the
+// re-plugs must reuse the one decoded image.
+TEST(FleetChurn, ClosedLoopReadsThroughUnplugReplugDrainClean) {
+  constexpr int kClients = 4;
+  constexpr int kThings = 120;
+  constexpr int kReadsPerClient = 40;
+  constexpr int kWindow = 8;
+
+  Deployment deployment(SeededConfig(20150931));
+  (void)deployment.AddManager();
+
+  struct ClientLoop {
+    MicroPnpClient* client = nullptr;
+    int issued = 0;
+    int resolved = 0;
+    int ok = 0;
+    std::function<void()> issue_next;
+  };
+  std::vector<ClientLoop> loops(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    loops[static_cast<size_t>(i)].client = &deployment.AddClient(
+        "churn-client-" + std::to_string(i), nullptr, /*max_in_flight=*/kWindow + 8);
+  }
+
+  ThingConfig thing_config;
+  thing_config.readvertise_min_ms = 0.0;
+  const DriverImage image = CompiledBundledDriver(kTmp36TypeId);
+  struct ThingSlot {
+    MicroPnpThing* thing = nullptr;
+    Tmp36* sensor = nullptr;
+  };
+  std::vector<ThingSlot> slots;
+  slots.reserve(kThings);
+  for (int i = 0; i < kThings; ++i) {
+    MicroPnpThing& thing =
+        deployment.AddThing("churn-thing-" + std::to_string(i), nullptr, thing_config);
+    ASSERT_TRUE(thing.PreinstallDriver(image).ok());
+    Tmp36& sensor = deployment.MakeTmp36();
+    ASSERT_TRUE(thing.Plug(0, &sensor).ok());
+    slots.push_back({&thing, &sensor});
+  }
+  deployment.RunForMillis(1000);
+
+  // Every third Thing unplugs while the read loops run (the loops reach
+  // Thing i after roughly 13 * i ms) and re-plugs 900 ms later.
+  Scheduler& scheduler = deployment.scheduler();
+  for (int i = 0; i < kThings; i += 3) {
+    const ThingSlot slot = slots[static_cast<size_t>(i)];
+    const double unplug_at = 2.0 * static_cast<double>(i);
+    scheduler.ScheduleAfter(SimTime::FromMillis(unplug_at),
+                            [slot] { (void)slot.thing->Unplug(0); });
+    scheduler.ScheduleAfter(SimTime::FromMillis(unplug_at + 900.0),
+                            [slot] { (void)slot.thing->Plug(0, slot.sensor); });
+  }
+
+  RequestOptions read_options;
+  read_options.deadline_ms = 1500.0;
+  read_options.max_retransmits = 2;
+  read_options.initial_backoff_ms = 150.0;
+  // resolutions[c * kReadsPerClient + k]: completions seen by client c's
+  // k-th read.
+  std::vector<int> resolutions(kClients * kReadsPerClient, 0);
+  for (int i = 0; i < kClients; ++i) {
+    ClientLoop& loop = loops[static_cast<size_t>(i)];
+    loop.issue_next = [&loop, &slots, &resolutions, i, read_options] {
+      if (loop.issued >= kReadsPerClient) {
+        return;
+      }
+      const ThingSlot& slot =
+          slots[static_cast<size_t>(i + loop.issued * kClients) % slots.size()];
+      const size_t read_id = static_cast<size_t>(i * kReadsPerClient + loop.issued);
+      ++loop.issued;
+      loop.client->Read(
+          slot.thing->node().address(), kTmp36TypeId,
+          [&loop, &resolutions, read_id](Result<WireValue> value) {
+            ++resolutions[read_id];
+            ++loop.resolved;
+            if (value.ok()) {
+              ++loop.ok;
+            }
+            loop.issue_next();
+          },
+          read_options);
+    };
+  }
+  for (ClientLoop& loop : loops) {
+    for (int i = 0; i < kWindow; ++i) {
+      loop.issue_next();
+    }
+  }
+
+  auto total_resolved = [&loops] {
+    int total = 0;
+    for (const ClientLoop& loop : loops) {
+      total += loop.resolved;
+    }
+    return total;
+  };
+  const double guard_ms = deployment.NowMillis() + 120000.0;
+  while (total_resolved() < kClients * kReadsPerClient && deployment.NowMillis() < guard_ms) {
+    deployment.RunForMillis(250.0);
+  }
+  // Reads typically drain before the churn window closes; run through the
+  // last re-plug (and its advertisement burst) so the plug flow, group
+  // membership and decode cache all churn too.
+  deployment.RunForMillis(3000.0);
+
+  for (size_t id = 0; id < resolutions.size(); ++id) {
+    EXPECT_EQ(resolutions[id], 1) << "read " << id;
+  }
+  int total_ok = 0;
+  for (const ClientLoop& loop : loops) {
+    EXPECT_EQ(loop.resolved, kReadsPerClient);
+    EXPECT_EQ(loop.client->endpoint().in_flight(), 0u);
+    total_ok += loop.ok;
+  }
+  EXPECT_GT(total_ok, 0);
+  // Some reads reached an unplugged Thing, so the churn overlapped them.
+  EXPECT_LT(total_ok, kClients * kReadsPerClient);
+  // The decode cache saw one unique image; every re-plug hit it.
+  EXPECT_EQ(deployment.decode_cache().misses(), 1u);
+  EXPECT_GT(deployment.decode_cache().hits(), 0u);
 }
 
 }  // namespace
