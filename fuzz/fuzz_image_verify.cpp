@@ -7,7 +7,9 @@
 // Built two ways (see fuzz/standalone_main.h): a libFuzzer binary under
 // clang -DMICROPNP_FUZZ_LIBFUZZER, a corpus replayer otherwise.
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/dsl/driver_image.h"
@@ -18,6 +20,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   micropnp::Result<DriverImage> image = DriverImage::Parse(micropnp::ByteSpan(data, size));
   if (!image.ok()) {
     return 0;
+  }
+  // Parse accepts only canonical images: what it accepts re-serializes to
+  // the same bytes, so the receiver's CRC-32 equals ImageCrc().
+  const std::vector<uint8_t> canonical = image->Serialize();
+  if (canonical.size() != size || !std::equal(canonical.begin(), canonical.end(), data)) {
+    __builtin_trap();
   }
   // Exercise both decode modes: the deploy gate (rejects unsafe images,
   // specializes proven sites) and the lint mode (keeps every finding).

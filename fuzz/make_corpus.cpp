@@ -6,7 +6,7 @@
 //   make_corpus <repo-root>/fuzz/corpus
 //
 // writes corpus/message_parse/msg_<type>.bin and
-// corpus/image_verify/<driver>.img plus a couple of hand-rolled edge cases.
+// corpus/image_verify/<driver>.img plus a few hand-rolled edge cases.
 
 #include <cstdio>
 #include <filesystem>
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/crc.h"
 #include "src/core/driver_sources.h"
 #include "src/dsl/compiler.h"
 #include "src/dsl/driver_image.h"
@@ -65,6 +66,18 @@ int main(int argc, char** argv) {
     }
     if (!WriteFile(img_dir / (std::string(d.name) + ".img"), image->Serialize())) return 1;
     ++written;
+    if (std::string(d.name) == "TMP36") {
+      // Non-canonical edge case: three bytes between the code section and a
+      // re-sealed CRC-16.  Parse must reject it.
+      std::vector<uint8_t> padded = image->Serialize();
+      padded.resize(padded.size() - 2);
+      padded.insert(padded.end(), {0x00, 0x00, 0x00});
+      const uint16_t crc = micropnp::Crc16Ccitt(micropnp::ByteSpan(padded.data(), padded.size()));
+      padded.push_back(static_cast<uint8_t>(crc >> 8));
+      padded.push_back(static_cast<uint8_t>(crc));
+      if (!WriteFile(img_dir / "TMP36-padded.img", padded)) return 1;
+      ++written;
+    }
   }
   // Header-only and empty inputs keep the parser's early-exit paths covered.
   if (!WriteFile(img_dir / "empty.img", {})) return 1;

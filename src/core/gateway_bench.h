@@ -4,7 +4,7 @@
 // router, driven closed-loop: the gateway keeps `window` reads in flight and
 // each completion immediately issues the next, so the pending table sits at
 // its high-water mark for the whole run — exactly the steady state the
-// timing-wheel scheduler and the hashed pending table exist for.
+// lazy-cancel heap scheduler and the hashed pending table exist for.
 //
 // The scenario lives in the library (not the bench binary) because three
 // consumers share it: bench_gateway (the human-readable sweep +

@@ -108,6 +108,12 @@ Result<DriverImage> DriverImage::Parse(ByteSpan bytes) {
   if (!r.ok()) {
     return CorruptError("truncated driver image");
   }
+  // The code section must end exactly at the CRC: padding (or a code length
+  // reaching into the CRC) would make the received bytes differ from
+  // Serialize(), and so their CRC-32 from ImageCrc().
+  if (r.position() != bytes.size() - 2) {
+    return CorruptError("driver image length mismatch");
+  }
   for (const HandlerEntry& h : image.handlers) {
     if (h.offset >= image.code.size() && !image.code.empty()) {
       return CorruptError("handler offset out of range");

@@ -240,7 +240,8 @@ void MicroPnpThing::OnDriverRequestComplete(ChannelId channel, DeviceTypeId id,
   if (last_flow_.has_value() && last_flow_->channel == channel) {
     last_flow_->driver_received = scheduler_.now();
   }
-  InstallReceivedDriver(channel, id, upload->driver_image);
+  const std::vector<uint8_t>& bytes = upload->driver_image;
+  InstallReceivedDriver(channel, id, bytes, Crc32(ByteSpan(bytes.data(), bytes.size())));
 }
 
 void MicroPnpThing::ScheduleDriverRetry(ChannelId channel, DeviceTypeId id) {
@@ -287,7 +288,7 @@ void MicroPnpThing::ProcessOffer(ChannelId channel, DeviceTypeId id,
           last_flow_->driver_was_cached = true;
           last_flow_->driver_received = scheduler_.now();
         }
-        InstallReceivedDriver(channel, id, AssembleTransfer(t));
+        InstallReceivedDriver(channel, id, AssembleTransfer(t), t.crc);
       } else if (driver_manager_.HasDriverFor(id)) {
         // Another channel's flow already installed this image (two
         // same-type peripherals plugged concurrently): this channel only
@@ -315,7 +316,7 @@ void MicroPnpThing::ProcessOffer(ChannelId channel, DeviceTypeId id,
       if (last_flow_.has_value() && last_flow_->channel == channel) {
         last_flow_->driver_received = scheduler_.now();
       }
-      InstallReceivedDriver(channel, id, AssembleTransfer(t));
+      InstallReceivedDriver(channel, id, AssembleTransfer(t), t.crc);
     } else if (driver_manager_.HasDriverFor(id)) {
       if (driver_manager_.HostForChannel(channel) == nullptr) {
         ActivateAndAdvertise(channel, id);  // installed by a sibling channel's flow
@@ -407,7 +408,7 @@ void MicroPnpThing::MaybeCompleteTransfer(DeviceTypeId id, DriverTransfer& t) {
     if (last_flow_.has_value() && last_flow_->channel == t.channel) {
       last_flow_->driver_received = scheduler_.now();
     }
-    InstallReceivedDriver(t.channel, id, std::move(image));
+    InstallReceivedDriver(t.channel, id, std::move(image), t.crc);
   }
 }
 
@@ -486,7 +487,7 @@ void MicroPnpThing::NackTick(DeviceTypeId id, uint64_t generation) {
 // ----------------------------------------------------- install/advertise ----
 
 void MicroPnpThing::InstallReceivedDriver(ChannelId channel, DeviceTypeId id,
-                                          std::vector<uint8_t> image_bytes) {
+                                          std::vector<uint8_t> image_bytes, uint32_t image_crc) {
   // Step 4: parse, CRC-check and flash the image (Table 4 row 4).  Flash
   // writes carry high variance (page boundaries, erase cycles), which is
   // what drives Table 4's large install stddev.
@@ -495,7 +496,8 @@ void MicroPnpThing::InstallReceivedDriver(ChannelId channel, DeviceTypeId id,
                           (1.0 + config_.flash_jitter_fraction * rng_.Uniform(-1.0, 1.0));
   const double install_ms = Jitter(config_.install_parse_cpu_ms) + flash_ms;
   scheduler_.ScheduleAfter(
-      SimTime::FromMillis(install_ms), [this, channel, id, image_bytes = std::move(image_bytes)] {
+      SimTime::FromMillis(install_ms),
+      [this, channel, id, image_crc, image_bytes = std::move(image_bytes)] {
         Result<DriverImage> image = DriverImage::Parse(ByteSpan(image_bytes.data(), image_bytes.size()));
         if (!image.ok()) {
           MLOG(kWarning, "thing") << "driver image rejected: " << image.status().ToString();
@@ -505,7 +507,9 @@ void MicroPnpThing::InstallReceivedDriver(ChannelId channel, DeviceTypeId id,
           MLOG(kWarning, "thing") << "driver image device mismatch";
           return;
         }
-        Status installed = driver_manager_.InstallImage(*image);
+        // Parse accepts only canonical images, so the CRC-32 of the
+        // received bytes is the image's ImageCrc().
+        Status installed = driver_manager_.InstallImage(*image, image_crc);
         if (!installed.ok()) {
           MLOG(kWarning, "thing") << "driver install failed: " << installed.ToString();
           return;

@@ -198,7 +198,10 @@ class MicroPnpThing {
   void OnDriverRequestComplete(ChannelId channel, DeviceTypeId id, uint64_t flow_generation,
                                Result<Message> reply);
   void ScheduleDriverRetry(ChannelId channel, DeviceTypeId id);
-  void InstallReceivedDriver(ChannelId channel, DeviceTypeId id, std::vector<uint8_t> image);
+  // `image_crc` is the CRC-32 of `image`; the chunked paths pass the one
+  // their transfer verified against the offer.
+  void InstallReceivedDriver(ChannelId channel, DeviceTypeId id, std::vector<uint8_t> image,
+                             uint32_t image_crc);
   void ActivateAndAdvertise(ChannelId channel, DeviceTypeId id);
   void SendUnsolicitedAdvertisement();
   void SendSolicitedAdvertisement(const Ip6Address& client, SequenceNumber seq);

@@ -6,8 +6,7 @@
 namespace micropnp {
 
 Result<std::shared_ptr<const DecodedImage>> SharedDecodeCache::GetOrDecode(
-    const DriverImage& image, bool* hit) {
-  const uint32_t crc = image.ImageCrc();
+    const DriverImage& image, uint32_t crc, bool* hit) {
   {
     std::lock_guard lock(mutex_);
     auto it = by_crc_.find(crc);
@@ -50,13 +49,15 @@ DriverManager::DriverManager(Scheduler& scheduler, EventRouter& router,
   router_.set_on_post([this] { SchedulePump(); });
 }
 
-Status DriverManager::InstallImage(const DriverImage& image) {
+Status DriverManager::InstallImage(const DriverImage& image, std::optional<uint32_t> image_crc) {
   if (image.device_id == kDeviceTypeAllPeripherals || image.device_id == kDeviceTypeAllClients) {
     return InvalidArgument("reserved device type id");
   }
+  const uint32_t crc = image_crc.has_value() ? *image_crc : image.ImageCrc();
   if (shared_cache_ != nullptr) {
     bool hit = false;
-    Result<std::shared_ptr<const DecodedImage>> result = shared_cache_->GetOrDecode(image, &hit);
+    Result<std::shared_ptr<const DecodedImage>> result =
+        shared_cache_->GetOrDecode(image, crc, &hit);
     if (!result.ok()) {
       return result.status();
     }
@@ -67,7 +68,6 @@ Status DriverManager::InstallImage(const DriverImage& image) {
     ++installs_;
     return OkStatus();
   }
-  const uint32_t crc = image.ImageCrc();
   std::shared_ptr<const DecodedImage> decoded;
   auto cached = decode_cache_.find(crc);
   if (cached != decode_cache_.end() && cached->second->image() == image) {

@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -44,7 +45,10 @@ namespace micropnp {
 // bypass verification.
 class SharedDecodeCache {
  public:
-  Result<std::shared_ptr<const DecodedImage>> GetOrDecode(const DriverImage& image, bool* hit);
+  // `crc` is image.ImageCrc(), which the caller has already computed or
+  // carried over from a verified transfer.
+  Result<std::shared_ptr<const DecodedImage>> GetOrDecode(const DriverImage& image, uint32_t crc,
+                                                          bool* hit);
 
   uint64_t hits() const;
   uint64_t misses() const;
@@ -71,8 +75,10 @@ class DriverManager {
 
   // ---- driver image store (remote DEPLOY/REMOVE/DISCOVER) -----------------
   // Verifies + decodes the image; statically invalid images are rejected
-  // here with the verifier's Status.
-  Status InstallImage(const DriverImage& image);
+  // here with the verifier's Status.  `image_crc`, when given, must equal
+  // image.ImageCrc(): a caller holding the verified CRC-32 of the received
+  // bytes (which Parse guarantees are canonical) skips re-serializing.
+  Status InstallImage(const DriverImage& image, std::optional<uint32_t> image_crc = std::nullopt);
   Status RemoveImage(DeviceTypeId device_id);  // fails while a host uses it
   bool HasDriverFor(DeviceTypeId device_id) const;
   const DriverImage* ImageFor(DeviceTypeId device_id) const;

@@ -1,7 +1,7 @@
 // The seed discrete-event scheduler: a binary heap of (time, sequence) keys.
 //
-// Kept as the obviously-correct reference implementation for the timing
-// wheel's differential property test (tests/timing_wheel_test.cpp): random
+// Kept as the obviously-correct reference implementation for the production
+// Scheduler's differential property test (tests/scheduler_test.cpp): random
 // traces of ScheduleAt/ScheduleAfter/Cancel/Step/RunUntil replay against both
 // schedulers and must produce identical execution order, clock values and
 // executed() counts.
@@ -9,8 +9,9 @@
 // One deliberate change from the seed: actions live in a hash map instead of
 // a linearly scanned tombstone vector, so Cancel() and per-event lookup are
 // O(1) instead of O(pending) — large differential traces would otherwise be
-// quadratic in the reference itself.  Scheduling stays O(log pending) via the
-// heap; the production Scheduler (src/sim/scheduler.h) is the O(1) wheel.
+// quadratic in the reference itself.  The production Scheduler
+// (src/sim/scheduler.h) is also a heap, but keeps its actions in a slab
+// addressed by the id and sweeps cancelled entries in bulk.
 
 #ifndef SRC_SIM_REFERENCE_SCHEDULER_H_
 #define SRC_SIM_REFERENCE_SCHEDULER_H_

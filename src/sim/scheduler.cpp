@@ -1,223 +1,160 @@
 #include "src/sim/scheduler.h"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <utility>
 
 namespace micropnp {
 
 namespace {
+
 constexpr uint64_t kNoLimit = std::numeric_limits<uint64_t>::max();
+constexpr size_t kArity = 4;
+
+template <typename Entry>
+bool Earlier(const Entry& a, const Entry& b) {
+  return a.when_ns != b.when_ns ? a.when_ns < b.when_ns : a.sequence < b.sequence;
+}
+
+// 4-ary min-heap on (when, sequence): half the depth of a binary heap, and a
+// node's children share a cache line or two.
+template <typename Entry>
+void SiftUp(std::vector<Entry>& heap, size_t i) {
+  const Entry moving = heap[i];
+  while (i > 0) {
+    const size_t parent = (i - 1) / kArity;
+    if (!Earlier(moving, heap[parent])) {
+      break;
+    }
+    heap[i] = heap[parent];
+    i = parent;
+  }
+  heap[i] = moving;
+}
+
+template <typename Entry>
+void SiftDown(std::vector<Entry>& heap, size_t i) {
+  const size_t n = heap.size();
+  const Entry moving = heap[i];
+  for (;;) {
+    const size_t first = i * kArity + 1;
+    if (first >= n) {
+      break;
+    }
+    size_t best = first;
+    const size_t end = std::min(first + kArity, n);
+    for (size_t c = first + 1; c < end; ++c) {
+      if (Earlier(heap[c], heap[best])) {
+        best = c;
+      }
+    }
+    if (!Earlier(heap[best], moving)) {
+      break;
+    }
+    heap[i] = heap[best];
+    i = best;
+  }
+  heap[i] = moving;
+}
+
+template <typename Entry>
+void PopTop(std::vector<Entry>& heap) {
+  heap.front() = heap.back();
+  heap.pop_back();
+  if (!heap.empty()) {
+    SiftDown(heap, 0);
+  }
+}
+
 }  // namespace
 
 Scheduler::EventId Scheduler::ScheduleAt(SimTime when, Action action) {
   if (when < now_) {
     when = now_;
   }
-  // With nothing pending the wheel origin can jump straight to the clock:
-  // the next insert then lands as low in the hierarchy as possible.
-  if (records_.empty() && overflow_.empty()) {
-    base_ns_ = now_.nanos();
+  uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
   }
-  const EventId id = next_id_++;
-  Record& record = records_[id];
-  Insert(Entry{when.nanos(), next_sequence_++, id}, record);
-  record.action = std::move(action);
-  record.when_ns = when.nanos();
+  Slot& s = slots_[slot];
+  s.action = std::move(action);
+  heap_.push_back(Entry{when.nanos(), next_sequence_++, slot, s.generation});
+  SiftUp(heap_, heap_.size() - 1);
+  ++live_;
   ++stats_.scheduled;
-  return id;
+  return (EventId{s.generation} << 32) | slot;
 }
 
-void Scheduler::Insert(const Entry& entry, Record& record) {
-  const uint64_t diff = entry.when_ns ^ base_ns_;
-  if (diff == 0) {
-    // Due exactly at the wheel origin: straight onto the ready list.  New
-    // arrivals carry the largest sequence so appending preserves FIFO order.
-    record.location = Location::kReady;
-    ready_.push_back(entry);
-    return;
+void Scheduler::Release(uint32_t slot) {
+  uint32_t& generation = slots_[slot].generation;
+  if (++generation == 0) {
+    generation = 1;  // keep id 0 unissued across wraparound
   }
-  if ((diff >> kSpanBits) != 0) {
-    std::vector<Entry>& bucket = overflow_[entry.when_ns];
-    record.location = Location::kOverflow;
-    record.index = static_cast<uint32_t>(bucket.size());
-    bucket.push_back(entry);
-    return;
-  }
-  // Highest differing bit picks the level; the timestamp's bits at that
-  // granularity pick the slot.
-  const int level = (std::bit_width(diff) - 1) / kSlotBits;
-  const int slot = static_cast<int>((entry.when_ns >> (level * kSlotBits)) & (kSlots - 1));
-  std::vector<Entry>& vec = levels_[level].slots[slot];
-  record.location = Location::kWheel;
-  record.level = static_cast<uint8_t>(level);
-  record.slot = static_cast<uint8_t>(slot);
-  record.index = static_cast<uint32_t>(vec.size());
-  vec.push_back(entry);
-  levels_[level].occupied |= uint64_t{1} << slot;
-}
-
-void Scheduler::Excise(const Record& record, EventId id) {
-  std::vector<Entry>* vec = nullptr;
-  switch (record.location) {
-    case Location::kReady:
-      // Stays in the ready list; popping skips entries without a record.
-      return;
-    case Location::kWheel:
-      vec = &levels_[record.level].slots[record.slot];
-      break;
-    case Location::kOverflow:
-      vec = &overflow_[record.when_ns];
-      break;
-  }
-  const size_t index = record.index;
-  if (index + 1 != vec->size()) {
-    (*vec)[index] = vec->back();
-    records_[(*vec)[index].id].index = static_cast<uint32_t>(index);
-  }
-  vec->pop_back();
-  (void)id;
-  if (vec->empty()) {
-    if (record.location == Location::kWheel) {
-      levels_[record.level].occupied &= ~(uint64_t{1} << record.slot);
-    } else {
-      overflow_.erase(record.when_ns);
-    }
-  }
+  free_.push_back(slot);
+  --live_;
 }
 
 bool Scheduler::Cancel(EventId id) {
-  auto it = records_.find(id);
-  if (it == records_.end()) {
+  const uint32_t slot = static_cast<uint32_t>(id);
+  if (slot >= slots_.size()) {
     return false;
   }
-  Excise(it->second, id);
-  records_.erase(it);
+  Slot& s = slots_[slot];
+  // A free slot already carries the generation of its next id, so only a
+  // non-empty action marks the slot as pending.
+  if (s.generation != static_cast<uint32_t>(id >> 32) || !s.action) {
+    return false;
+  }
+  s.action = nullptr;  // destroy the closure now, not when its entry surfaces
+  Release(slot);
   ++stats_.cancelled;
+  MaybeCompact();
   return true;
 }
 
-void Scheduler::SortReadyBySequence() {
-  std::sort(ready_.begin(), ready_.end(),
-            [](const Entry& a, const Entry& b) { return a.sequence < b.sequence; });
-}
-
-bool Scheduler::AdvanceToNext(uint64_t limit_ns) {
-  for (;;) {
-    // Serve from the ready list first, skipping cancelled entries.
-    while (ready_next_ < ready_.size()) {
-      const Entry& head = ready_[ready_next_];
-      if (records_.count(head.id) != 0) {
-        return head.when_ns <= limit_ns;
-      }
-      ++ready_next_;  // cancelled after collection
-    }
-    ready_.clear();
-    ready_next_ = 0;
-    if (records_.empty()) {
-      return false;
-    }
-
-    // Overflow buckets whose window the wheel has reached slot like any
-    // other entry (they may even be the next event).
-    while (!overflow_.empty() &&
-           ((overflow_.begin()->first ^ base_ns_) >> kSpanBits) == 0) {
-      std::vector<Entry> bucket = std::move(overflow_.begin()->second);
-      overflow_.erase(overflow_.begin());
-      for (const Entry& entry : bucket) {
-        Insert(entry, records_[entry.id]);
-      }
-    }
-    if (ready_next_ < ready_.size()) {
-      // Migration landed entries due exactly at base_.  Cancellation's
-      // swap-and-pop may have perturbed their bucket order, so restore FIFO
-      // before serving (they all share one timestamp).
-      SortReadyBySequence();
-      continue;
-    }
-
-    // Lowest level with an occupied slot after the cursor holds the next
-    // event (level-l entries all precede level-(l+1) entries).
-    int level = -1;
-    int slot = 0;
-    for (int l = 0; l < kLevels; ++l) {
-      const int cursor = static_cast<int>((base_ns_ >> (l * kSlotBits)) & (kSlots - 1));
-      const uint64_t above =
-          cursor == kSlots - 1 ? 0 : levels_[l].occupied & (~uint64_t{0} << (cursor + 1));
-      if (above != 0) {
-        level = l;
-        slot = std::countr_zero(above);
-        break;
-      }
-    }
-
-    if (level < 0) {
-      // Wheel exhausted: the next event (if any) is in a future overflow
-      // window.  Jump the origin there and re-enter to migrate it.
-      if (overflow_.empty()) {
-        return false;  // unreachable: records_ non-empty implies an entry
-      }
-      const uint64_t when = overflow_.begin()->first;
-      if (when > limit_ns) {
-        return false;
-      }
-      base_ns_ = when;
-      continue;
-    }
-
-    const int shift = level * kSlotBits;
-    const uint64_t span_mask = (uint64_t{1} << (shift + kSlotBits)) - 1;
-    const uint64_t slot_start = (base_ns_ & ~span_mask) | (uint64_t{uint32_t(slot)} << shift);
-    if (slot_start > limit_ns) {
-      return false;  // next event starts past the limit; leave the wheel be
-    }
-    base_ns_ = slot_start;
-    std::vector<Entry>& vec = levels_[level].slots[slot];
-    levels_[level].occupied &= ~(uint64_t{1} << slot);
-    if (level == 0) {
-      // A level-0 slot spans exactly one nanosecond: every entry is due at
-      // slot_start.  Sorting by sequence restores global FIFO order.
-      std::swap(ready_, vec);
-      SortReadyBySequence();
-      for (const Entry& entry : ready_) {
-        records_[entry.id].location = Location::kReady;
-      }
-      ++stats_.slot_collections;
-      continue;  // the ready loop serves it
-    }
-    // Cascade: with the origin advanced to the slot's start, every entry
-    // re-slots at least one level lower (or straight onto the ready list).
-    std::vector<Entry> cascade;
-    std::swap(cascade, vec);
-    stats_.cascaded_entries += cascade.size();
-    for (const Entry& entry : cascade) {
-      Insert(entry, records_[entry.id]);
-    }
-    if (!ready_.empty()) {
-      // Entries due exactly at the slot's start (64-aligned timestamps)
-      // land straight on the ready list; as above, re-sort by sequence in
-      // case cancellation perturbed the slot's order.
-      SortReadyBySequence();
-    }
+void Scheduler::MaybeCompact() {
+  const size_t tombstones = heap_.size() - live_;
+  if (tombstones <= kCompactFloor || tombstones <= live_) {
+    return;
   }
+  std::erase_if(heap_, [this](const Entry& e) { return !IsLive(e); });
+  for (size_t i = heap_.size(); i-- > 0;) {
+    SiftDown(heap_, i);  // bottom-up heapify (a leaf's sift is a no-op)
+  }
+  ++stats_.compactions;
 }
 
-void Scheduler::ExecuteReadyHead() {
-  const Entry entry = ready_[ready_next_++];
-  auto it = records_.find(entry.id);
-  Action action = std::move(it->second.action);
-  records_.erase(it);
+bool Scheduler::LiveTopBy(uint64_t limit_ns) {
+  while (!heap_.empty()) {
+    if (IsLive(heap_.front())) {
+      return heap_.front().when_ns <= limit_ns;
+    }
+    PopTop(heap_);
+  }
+  return false;
+}
+
+void Scheduler::ExecuteTop() {
+  const Entry entry = heap_.front();
+  PopTop(heap_);
+  Action action = std::move(slots_[entry.slot].action);
+  slots_[entry.slot].action = nullptr;
+  Release(entry.slot);
+  MaybeCompact();
   now_ = SimTime::FromNanos(entry.when_ns);
   ++executed_;
   action();
 }
 
 bool Scheduler::Step() {
-  if (!AdvanceToNext(kNoLimit)) {
+  if (!LiveTopBy(kNoLimit)) {
     return false;
   }
-  ExecuteReadyHead();
+  ExecuteTop();
   return true;
 }
 
@@ -231,8 +168,8 @@ size_t Scheduler::Run() {
 
 size_t Scheduler::RunUntil(SimTime deadline) {
   size_t count = 0;
-  while (AdvanceToNext(deadline.nanos())) {
-    ExecuteReadyHead();
+  while (LiveTopBy(deadline.nanos())) {
+    ExecuteTop();
     ++count;
   }
   if (now_ < deadline) {

@@ -1,57 +1,52 @@
-// Discrete-event scheduler on a hierarchical timing wheel.
+// Discrete-event scheduler: a 4-ary min-heap over a slab of actions.
 //
-// Events are closures ordered by (time, insertion order).  Equal-time events
-// run in FIFO order, which keeps the simulation deterministic.
+// Events are closures ordered by (time, insertion sequence).  Equal-time
+// events run in FIFO order, which keeps the simulation deterministic.
 //
-// The seed implementation was a binary heap plus a linear-scan tombstone
-// vector: O(pending) per Cancel() and per executed event, which capped the
-// gateway benchmarks at a few dozen Things.  This scheduler is the classic
-// kernel-timer answer to mass deadlines — a hashed hierarchical timing wheel
-// (Varghese & Lauck): 10 levels of 64 slots each, 1 ns resolution at level 0,
-// spanning 2^60 ns (~36 years of simulated time) before overflowing to a
-// sorted spill map.  Schedule and Cancel are O(1); finding the next event
-// scans per-level occupancy bitmaps and cascades higher-level slots on demand,
-// so an event is re-slotted at most once per level over its lifetime.
+// Each pending event owns a slab slot (its action plus a generation counter);
+// freed slots are recycled through a free list.  The heap holds small
+// (when, sequence, slot, generation) entries.  An EventId is
+// `generation << 32 | slot`; generations start at 1, so id 0 is never issued
+// and callers may use it as "no event".
 //
-// Exact discrete-event semantics are preserved (and differentially tested in
-// tests/timing_wheel_test.cpp against ReferenceScheduler, the seed heap):
-// events reach the ready list only when they share a single timestamp —
-// via a level-0 slot (which covers exactly one nanosecond) or due exactly at
-// the wheel origin after a cascade or overflow migration — and every such
-// batch is sorted by sequence to restore global FIFO order.  Cancelled
-// events are removed from their slot immediately (swap-and-pop, with the
-// id -> location table patched), so the wheel holds no tombstones and memory
-// stays O(pending events); the sequence sort is what makes that reordering
-// invisible.
+// Cancel() is lazy: it destroys the closure at once (releasing whatever it
+// captured), bumps the slot's generation and frees the slot, but leaves the
+// heap entry behind as a tombstone, skipped when it reaches the top.  When
+// tombstones outnumber live entries (above kCompactFloor) one linear pass
+// sweeps them, so memory stays O(pending events) and Cancel amortised O(1).
+//
+// tests/scheduler_test.cpp checks execution order differentially against
+// ReferenceScheduler (src/sim/reference_scheduler.h).
 
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/clock.h"
 
 namespace micropnp {
 
-// Cheap monotonic probes of the wheel's algorithmic work, used by the
-// linearity regression test: a schedule+cancel workload must cascade nothing,
-// and total work must stay proportional to the number of operations.
+// Cheap monotonic probes of the scheduler's work, used by the complexity
+// tests.  `held` is a snapshot: heap entries, tombstones included.
 struct SchedulerStats {
   uint64_t scheduled = 0;
   uint64_t cancelled = 0;
-  uint64_t cascaded_entries = 0;   // entries re-slotted by a cascade
-  uint64_t slot_collections = 0;   // level-0 slots moved to the ready list
+  uint64_t compactions = 0;  // tombstone sweeps of the heap
+  size_t held = 0;
 };
 
 class Scheduler {
  public:
   using Action = std::function<void()>;
   using EventId = uint64_t;
+
+  // Tombstones below this count are never swept: compaction runs only when
+  // they exceed both this floor and the number of live events.
+  static constexpr size_t kCompactFloor = 64;
 
   Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
@@ -60,7 +55,7 @@ class Scheduler {
   SimTime now() const { return now_; }
 
   // Schedules `action` to run at absolute time `when` (clamped to now).
-  // Returns an id usable with Cancel().
+  // Returns a nonzero id usable with Cancel().
   EventId ScheduleAt(SimTime when, Action action);
 
   // Schedules `action` to run `delay` after the current time.
@@ -81,75 +76,49 @@ class Scheduler {
   // Runs a single event if one is pending.  Returns true if an event ran.
   bool Step();
 
-  bool empty() const { return records_.empty(); }
-  size_t pending() const { return records_.size(); }
+  bool empty() const { return live_ == 0; }
+  size_t pending() const { return live_; }
 
   // Total events executed since construction (for sanity checks in tests).
   uint64_t executed() const { return executed_; }
 
-  const SchedulerStats& stats() const { return stats_; }
+  SchedulerStats stats() const {
+    SchedulerStats stats = stats_;
+    stats.held = heap_.size();
+    return stats;
+  }
 
  private:
-  static constexpr int kSlotBits = 6;
-  static constexpr int kSlots = 1 << kSlotBits;           // 64
-  static constexpr int kLevels = 10;                      // 2^60 ns span
-  static constexpr int kSpanBits = kSlotBits * kLevels;   // 60
-
-  enum class Location : uint8_t { kWheel, kOverflow, kReady };
-
   struct Entry {
     uint64_t when_ns;
     uint64_t sequence;
-    EventId id;
+    uint32_t slot;
+    uint32_t generation;
   };
-  struct Level {
-    uint64_t occupied = 0;  // bit s set <=> slots[s] non-empty
-    std::array<std::vector<Entry>, kSlots> slots;
-  };
-  // Where a pending event currently lives, so Cancel() can excise it in O(1).
-  struct Record {
+  struct Slot {
     Action action;
-    uint64_t when_ns = 0;
-    Location location = Location::kReady;
-    uint8_t level = 0;
-    uint8_t slot = 0;
-    uint32_t index = 0;  // position inside the slot / overflow bucket vector
+    uint32_t generation = 1;
   };
 
-  // Slots the entry relative to base_ns_ and updates its record.
-  void Insert(const Entry& entry, Record& record);
-  // Removes the entry from its wheel slot or overflow bucket (swap-and-pop,
-  // patching the displaced entry's record).  kReady entries stay in place and
-  // are skipped when popped.
-  void Excise(const Record& record, EventId id);
-  // Advances the wheel (cascading as needed, never past `limit_ns`) until the
-  // ready list holds a live event, or returns false if the next live event
-  // lies beyond the limit (or none exists).  Does not run anything.
-  bool AdvanceToNext(uint64_t limit_ns);
-  // Pops the live head of the ready list and runs it (caller guarantees one
-  // exists via AdvanceToNext).
-  void ExecuteReadyHead();
-  // Restores FIFO order among the same-timestamp entries on the ready list
-  // (Excise's swap-and-pop perturbs slot/bucket order, so every batch moved
-  // onto the list must be re-sorted before serving).
-  void SortReadyBySequence();
+  bool IsLive(const Entry& entry) const {
+    return slots_[entry.slot].generation == entry.generation;
+  }
+  // Invalidates the slot's outstanding id and returns it to the free list.
+  void Release(uint32_t slot);
+  // Sweeps tombstones once they outnumber live entries (above the floor).
+  void MaybeCompact();
+  // Pops tombstones off the top; true if a live event due by `limit_ns` is next.
+  bool LiveTopBy(uint64_t limit_ns);
+  // Pops and runs the live top entry (caller checked LiveTopBy).
+  void ExecuteTop();
 
   SimTime now_;
-  // Wheel reference time: every pending event satisfies when >= base_ns_, and
-  // slot indices are the bits of the absolute timestamp relative to this
-  // origin.  Always <= now_.nanos() at public API boundaries.
-  uint64_t base_ns_ = 0;
   uint64_t next_sequence_ = 0;
-  EventId next_id_ = 1;
   uint64_t executed_ = 0;
-  std::array<Level, kLevels> levels_;
-  // Events more than 2^60 ns past base_: kept in a sorted spill map and
-  // migrated into the wheel when base_ reaches their window.
-  std::map<uint64_t, std::vector<Entry>> overflow_;
-  // Events due at base_ns_, sorted by sequence, consumed front-to-back.
-  std::vector<Entry> ready_;
-  size_t ready_next_ = 0;
-  std::unordered_map<EventId, Record> records_;
+  size_t live_ = 0;
+  std::vector<Entry> heap_;  // min-heap on (when_ns, sequence)
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_;
   SchedulerStats stats_;
 };
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/crc.h"
 #include "src/common/sloc.h"
 #include "src/core/driver_sources.h"
 #include "src/periph/peripheral.h"
@@ -383,6 +384,40 @@ TEST(DriverImage, ParseRejectsCorruption) {
   Result<DriverImage> parsed = DriverImage::Parse(ByteSpan(bytes.data(), bytes.size()));
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kCorrupt);
+}
+
+// Replaces the trailing CRC-16 with one over the (edited) bytes before it.
+void Reseal(std::vector<uint8_t>& bytes) {
+  bytes.resize(bytes.size() - 2);
+  const uint16_t crc = Crc16Ccitt(ByteSpan(bytes.data(), bytes.size()));
+  bytes.push_back(static_cast<uint8_t>(crc >> 8));
+  bytes.push_back(static_cast<uint8_t>(crc));
+}
+
+TEST(DriverImage, ParseRejectsBytesBetweenCodeAndCrc) {
+  // A re-sealed image with bytes between the code section and the CRC-16
+  // passes the CRC check but is not what Serialize() produces, so its CRC-32
+  // would not match ImageCrc().
+  Result<DriverImage> image = CompileDriver(FindBundledDriver(kTmp36TypeId)->source);
+  ASSERT_TRUE(image.ok());
+  const std::vector<uint8_t> canonical = image->Serialize();
+  ASSERT_TRUE(DriverImage::Parse(ByteSpan(canonical.data(), canonical.size())).ok());
+
+  std::vector<uint8_t> padded = canonical;
+  padded.insert(padded.end() - 2, {0x00, 0x00, 0x00});
+  Reseal(padded);
+  Result<DriverImage> parsed = DriverImage::Parse(ByteSpan(padded.data(), padded.size()));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kCorrupt);
+
+  // Same with a code length one short: the last code byte becomes padding.
+  std::vector<uint8_t> short_code = canonical;
+  const size_t len_at = short_code.size() - 2 - image->code.size() - 2;
+  const uint16_t code_len = static_cast<uint16_t>(image->code.size() - 1);
+  short_code[len_at] = static_cast<uint8_t>(code_len >> 8);
+  short_code[len_at + 1] = static_cast<uint8_t>(code_len);
+  Reseal(short_code);
+  EXPECT_FALSE(DriverImage::Parse(ByteSpan(short_code.data(), short_code.size())).ok());
 }
 
 TEST(DriverImage, ParseRejectsBadMagicAndShortInput) {

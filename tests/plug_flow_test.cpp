@@ -328,6 +328,45 @@ TEST(ChunkedTransfer, ReplugOfCachedDriverTransfersZeroChunks) {
   EXPECT_EQ(manager.upload_short_circuits(), 1u);
 }
 
+TEST(ChunkedTransfer, InstallCarriesTheVerifiedCrcAndSharesTheDecode) {
+  // The Thing installs with the CRC-32 its chunked transfer already checked
+  // instead of re-serializing the image; that CRC must be the image's
+  // ImageCrc(), and a second Thing's install of it a shared-cache hit.
+  for (const BundledDriver& driver : BundledDrivers()) {
+    SCOPED_TRACE(driver.name);
+    Deployment deployment(SeededConfig(71007));
+    deployment.AddManager();
+    MicroPnpThing& first = deployment.AddThing("first");
+    MicroPnpThing& second = deployment.AddThing("second");
+    auto make_peripheral = [&]() -> Peripheral& {
+      switch (driver.device_id) {
+        case kTmp36TypeId: return deployment.MakeTmp36();
+        case kHih4030TypeId: return deployment.MakeHih4030();
+        case kId20LaTypeId: return deployment.MakeId20La();
+        case kBmp180TypeId: return deployment.MakeBmp180();
+        default: return deployment.MakeRelay();
+      }
+    };
+    const uint32_t image_crc = CompiledBundledDriver(driver.device_id).ImageCrc();
+
+    ASSERT_TRUE(first.Plug(0, &make_peripheral()).ok());
+    deployment.RunForMillis(5000);
+    const std::shared_ptr<const DecodedImage> decoded = first.drivers().DecodedFor(driver.device_id);
+    ASSERT_NE(decoded, nullptr);
+    EXPECT_EQ(first.transfers_completed(), 1u);
+    EXPECT_EQ(decoded->crc(), image_crc);
+    EXPECT_EQ(deployment.decode_cache().misses(), 1u);
+    EXPECT_EQ(deployment.decode_cache().hits(), 0u);
+
+    ASSERT_TRUE(second.Plug(0, &make_peripheral()).ok());
+    deployment.RunForMillis(5000);
+    EXPECT_EQ(second.drivers().DecodedFor(driver.device_id), decoded);
+    EXPECT_EQ(second.drivers().decode_cache_hits(), 1u);
+    EXPECT_EQ(deployment.decode_cache().hits(), 1u);
+    EXPECT_EQ(deployment.decode_cache().misses(), 1u);
+  }
+}
+
 // ------------------------------------------------------ plug-flow bugfixes ---
 
 TEST(PlugFlowRecovery, DriverRequestRearmsAfterLinkHeals) {
