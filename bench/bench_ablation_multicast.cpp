@@ -30,8 +30,11 @@ std::vector<NetNode*> BuildTree(Fabric& fabric, int fanout, int depth) {
     std::vector<NetNode*> next;
     for (NetNode* parent : frontier) {
       for (int c = 0; c < fanout; ++c) {
-        NetNode* child = fabric.CreateNode("n" + std::to_string(nodes.size()), address(),
-                                           NodeProfile::Embedded(), parent);
+        // Appending avoids "n" + std::to_string(...), which trips GCC 12's
+        // -Wrestrict false positive at -O2.
+        std::string name = "n";
+        name += std::to_string(nodes.size());
+        NetNode* child = fabric.CreateNode(name, address(), NodeProfile::Embedded(), parent);
         nodes.push_back(child);
         next.push_back(child);
       }

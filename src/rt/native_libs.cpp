@@ -1,6 +1,22 @@
 #include "src/rt/native_libs.h"
 
+#include <utility>
+
 namespace micropnp {
+
+Scheduler::EventId NativeLibrary::ScheduleOwned(SimDuration delay, Scheduler::Action action) {
+  std::erase_if(owned_, [this](Scheduler::EventId id) { return !ctx_.scheduler->IsPending(id); });
+  const Scheduler::EventId id = ctx_.scheduler->ScheduleAfter(delay, std::move(action));
+  owned_.push_back(id);
+  return id;
+}
+
+void NativeLibrary::CancelOwnedEvents() {
+  for (Scheduler::EventId id : owned_) {
+    ctx_.scheduler->Cancel(id);
+  }
+  owned_.clear();
+}
 
 std::unique_ptr<NativeLibrary> MakeNativeLibrary(LibraryId id, const NativeLibContext& ctx) {
   switch (id) {
@@ -56,8 +72,8 @@ void AdcNativeLibrary::Invoke(LibraryFunctionId fn, std::span<const int32_t> arg
       const int32_t value = *code;
       // Split phase: the conversion result arrives after the ADC's
       // conversion time, as a newdata event.
-      ctx_.scheduler->ScheduleAfter(ctx_.bus->adc().conversion_time(),
-                                    [this, value] { PostToDriver(Event::Of(kEventNewData, value)); });
+      ScheduleOwned(ctx_.bus->adc().conversion_time(),
+                    [this, value] { PostToDriver(Event::Of(kEventNewData, value)); });
       return;
     }
     default:
@@ -101,7 +117,7 @@ void UartNativeLibrary::Invoke(LibraryFunctionId fn, std::span<const int32_t> ar
         return;
       }
       listening_ = true;
-      frame_open_ = false;
+      ctx_.scheduler->Cancel(timeout_);
       uart.set_rx_handler([this](uint8_t byte) { OnByte(byte); });
       return;
     case kUartWrite: {
@@ -118,8 +134,7 @@ void UartNativeLibrary::Invoke(LibraryFunctionId fn, std::span<const int32_t> ar
     }
     case kUartStop:
       listening_ = false;
-      frame_open_ = false;
-      ++timeout_generation_;
+      ctx_.scheduler->Cancel(timeout_);
       uart.set_rx_handler(nullptr);
       return;
     default:
@@ -132,31 +147,19 @@ void UartNativeLibrary::OnByte(uint8_t byte) {
     return;
   }
   ChargeEnergy(BusKind::kUart);
-  if (!frame_open_) {
-    frame_open_ = true;
-  }
-  ArmTimeout();
+  // This byte supersedes the previous byte's timeout.
+  ctx_.scheduler->Cancel(timeout_);
+  timeout_ = ScheduleOwned(SimTime::FromMillis(kInterByteTimeoutMs),
+                           [this] { PostErrorToDriver(kErrorTimeout); });  // frame stalled
   PostToDriver(Event::Of(kEventNewData, static_cast<int32_t>(byte)));
 }
 
-void UartNativeLibrary::ArmTimeout() {
-  const uint64_t generation = ++timeout_generation_;
-  ctx_.scheduler->ScheduleAfter(SimTime::FromMillis(kInterByteTimeoutMs), [this, generation] {
-    if (generation == timeout_generation_ && listening_ && frame_open_) {
-      frame_open_ = false;
-      PostErrorToDriver(kErrorTimeout);  // frame stalled mid-way
-    }
-  });
-}
-
-void UartNativeLibrary::Teardown() {
+void UartNativeLibrary::ReleaseBus() {
   if (claimed_) {
     ctx_.bus->uart().Reset();
     claimed_ = false;
   }
   listening_ = false;
-  frame_open_ = false;
-  ++timeout_generation_;
 }
 
 // ------------------------------------------------------------------- i2c ---
@@ -227,8 +230,7 @@ void I2cNativeLibrary::Read(int32_t addr, int32_t reg, int bytes) {
   }
   // Result arrives after the wire time of the transaction.
   const SimDuration wire = i2c.TransactionTime(static_cast<size_t>(bytes) + 1, 2);
-  ctx_.scheduler->ScheduleAfter(wire,
-                                [this, value] { PostToDriver(Event::Of(kEventNewData, value)); });
+  ScheduleOwned(wire, [this, value] { PostToDriver(Event::Of(kEventNewData, value)); });
 }
 
 // ------------------------------------------------------------------- spi ---
@@ -265,9 +267,8 @@ void SpiNativeLibrary::Invoke(LibraryFunctionId fn, std::span<const int32_t> arg
         return;
       }
       const int32_t value = static_cast<int32_t>(((*rx)[0] << 8) | (*rx)[1]);
-      ctx_.scheduler->ScheduleAfter(spi.TransferTime(2), [this, value] {
-        PostToDriver(Event::Of(kEventNewData, value));
-      });
+      ScheduleOwned(spi.TransferTime(2),
+                    [this, value] { PostToDriver(Event::Of(kEventNewData, value)); });
       return;
     }
     default:
@@ -285,24 +286,16 @@ void TimerNativeLibrary::Invoke(LibraryFunctionId fn, std::span<const int32_t> a
         PostErrorToDriver(kErrorInvalidConfiguration);
         return;
       }
-      running_ = true;
-      const uint64_t generation = ++generation_;
-      ctx_.scheduler->ScheduleAfter(SimTime::FromMillis(period_ms),
-                                    [this, generation, period_ms] { Tick(generation, period_ms); });
+      CancelOwnedEvents();
+      ScheduleOwned(SimTime::FromMillis(period_ms), [this, period_ms] { Tick(period_ms); });
       return;
     }
     case kTimerStop:
-      running_ = false;
-      ++generation_;
+      CancelOwnedEvents();
       return;
     case kTimerOnce: {
       const double delay_ms = args.size() > 0 ? static_cast<double>(args[0]) : 0.0;
-      const uint64_t generation = generation_;
-      ctx_.scheduler->ScheduleAfter(SimTime::FromMillis(delay_ms), [this, generation] {
-        if (generation == generation_) {
-          PostToDriver(Event::Of(kEventTick));
-        }
-      });
+      ScheduleOwned(SimTime::FromMillis(delay_ms), [this] { PostToDriver(Event::Of(kEventTick)); });
       return;
     }
     default:
@@ -310,18 +303,9 @@ void TimerNativeLibrary::Invoke(LibraryFunctionId fn, std::span<const int32_t> a
   }
 }
 
-void TimerNativeLibrary::Tick(uint64_t generation, double period_ms) {
-  if (!running_ || generation != generation_) {
-    return;
-  }
+void TimerNativeLibrary::Tick(double period_ms) {
   PostToDriver(Event::Of(kEventTick));
-  ctx_.scheduler->ScheduleAfter(SimTime::FromMillis(period_ms),
-                                [this, generation, period_ms] { Tick(generation, period_ms); });
-}
-
-void TimerNativeLibrary::Teardown() {
-  running_ = false;
-  ++generation_;
+  ScheduleOwned(SimTime::FromMillis(period_ms), [this, period_ms] { Tick(period_ms); });
 }
 
 }  // namespace micropnp

@@ -9,6 +9,11 @@
 // (`newdata`, `tick`) and faults (error events) are posted to the event
 // router addressed to the owning driver, arriving after the simulated wire /
 // conversion time.
+//
+// A library owns the scheduler events behind those results: it cancels a
+// timer it supersedes (the UART's inter-byte timeout, a restarted periodic
+// timer) and Teardown cancels every event still in flight, so no completion
+// outlives its library or reaches a driver slot that a later driver reuses.
 
 #ifndef SRC_RT_NATIVE_LIBS_H_
 #define SRC_RT_NATIVE_LIBS_H_
@@ -16,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "src/bus/channel_bus.h"
 #include "src/common/units.h"
@@ -46,10 +52,21 @@ class NativeLibrary {
   // Handles a kSignalLib instruction.  Problems surface as error events
   // posted to the driver, not as return values (Section 4.1 error handling).
   virtual void Invoke(LibraryFunctionId fn, std::span<const int32_t> args) = 0;
-  // Driver being destroyed: release claimed hardware, cancel timers.
-  virtual void Teardown() {}
+  // Driver being destroyed: cancel every event the library still owns, then
+  // release claimed hardware.
+  void Teardown() {
+    CancelOwnedEvents();
+    ReleaseBus();
+  }
 
  protected:
+  // Drops the library's claim on its bus and its configuration.
+  virtual void ReleaseBus() {}
+  // Schedules a split-phase event `delay` from now and remembers its id, so
+  // Teardown can cancel it.  Ids of events that already ran or were cancelled
+  // are forgotten on the next call, so the list holds what is in flight.
+  Scheduler::EventId ScheduleOwned(SimDuration delay, Scheduler::Action action);
+  void CancelOwnedEvents();
   void PostToDriver(const Event& e) { ctx_.router->Post(ctx_.driver_slot, e); }
   void PostErrorToDriver(EventId error) { ctx_.router->PostError(ctx_.driver_slot, Event::Of(error)); }
   void ChargeEnergy(BusKind bus) {
@@ -59,6 +76,9 @@ class NativeLibrary {
   }
 
   NativeLibContext ctx_;
+
+ private:
+  std::vector<Scheduler::EventId> owned_;
 };
 
 // Factory used by the driver host when instantiating a driver's imports.
@@ -71,9 +91,10 @@ class AdcNativeLibrary : public NativeLibrary {
   using NativeLibrary::NativeLibrary;
   LibraryId id() const override { return kLibAdc; }
   void Invoke(LibraryFunctionId fn, std::span<const int32_t> args) override;
-  void Teardown() override { initialized_ = false; }
 
  private:
+  void ReleaseBus() override { initialized_ = false; }
+
   bool initialized_ = false;
 };
 
@@ -86,16 +107,16 @@ class UartNativeLibrary : public NativeLibrary {
   using NativeLibrary::NativeLibrary;
   LibraryId id() const override { return kLibUart; }
   void Invoke(LibraryFunctionId fn, std::span<const int32_t> args) override;
-  void Teardown() override;
 
  private:
+  void ReleaseBus() override;
   void OnByte(uint8_t byte);
-  void ArmTimeout();
 
   bool claimed_ = false;
   bool listening_ = false;
-  bool frame_open_ = false;
-  uint64_t timeout_generation_ = 0;
+  // The latest inter-byte timeout; pending exactly while a frame is open.
+  // Each byte, uart.read and uart.stop cancel it (a no-op once it ran).
+  Scheduler::EventId timeout_ = 0;
 };
 
 class I2cNativeLibrary : public NativeLibrary {
@@ -119,18 +140,15 @@ class SpiNativeLibrary : public NativeLibrary {
   bool initialized_ = false;
 };
 
+// timer.start and timer.stop cancel every outstanding tick, periodic or once.
 class TimerNativeLibrary : public NativeLibrary {
  public:
   using NativeLibrary::NativeLibrary;
   LibraryId id() const override { return kLibTimer; }
   void Invoke(LibraryFunctionId fn, std::span<const int32_t> args) override;
-  void Teardown() override;
 
  private:
-  void Tick(uint64_t generation, double period_ms);
-
-  uint64_t generation_ = 0;  // bumping cancels outstanding ticks
-  bool running_ = false;
+  void Tick(double period_ms);
 };
 
 }  // namespace micropnp

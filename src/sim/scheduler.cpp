@@ -1,6 +1,7 @@
 #include "src/sim/scheduler.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <utility>
 
@@ -69,9 +70,6 @@ void PopTop(std::vector<Entry>& heap) {
 }  // namespace
 
 Scheduler::EventId Scheduler::ScheduleAt(SimTime when, Action action) {
-  if (when < now_) {
-    when = now_;
-  }
   uint32_t slot;
   if (free_.empty()) {
     slot = static_cast<uint32_t>(slots_.size());
@@ -82,8 +80,12 @@ Scheduler::EventId Scheduler::ScheduleAt(SimTime when, Action action) {
   }
   Slot& s = slots_[slot];
   s.action = std::move(action);
-  heap_.push_back(Entry{when.nanos(), next_sequence_++, slot, s.generation});
-  SiftUp(heap_, heap_.size() - 1);
+  if (when <= now_) {
+    due_.push_back(DueEntry{slot, s.generation});  // clamped to now: FIFO lane
+  } else {
+    heap_.push_back(Entry{when.nanos(), next_sequence_++, slot, s.generation});
+    SiftUp(heap_, heap_.size() - 1);
+  }
   ++live_;
   ++stats_.scheduled;
   return (EventId{s.generation} << 32) | slot;
@@ -98,18 +100,20 @@ void Scheduler::Release(uint32_t slot) {
   --live_;
 }
 
-bool Scheduler::Cancel(EventId id) {
+bool Scheduler::IsPending(EventId id) const {
   const uint32_t slot = static_cast<uint32_t>(id);
-  if (slot >= slots_.size()) {
-    return false;
-  }
-  Slot& s = slots_[slot];
   // A free slot already carries the generation of its next id, so only a
   // non-empty action marks the slot as pending.
-  if (s.generation != static_cast<uint32_t>(id >> 32) || !s.action) {
+  return slot < slots_.size() && slots_[slot].generation == static_cast<uint32_t>(id >> 32) &&
+         slots_[slot].action;
+}
+
+bool Scheduler::Cancel(EventId id) {
+  if (!IsPending(id)) {
     return false;
   }
-  s.action = nullptr;  // destroy the closure now, not when its entry surfaces
+  const uint32_t slot = static_cast<uint32_t>(id);
+  slots_[slot].action = nullptr;  // destroy the closure now, not when its entry surfaces
   Release(slot);
   ++stats_.cancelled;
   MaybeCompact();
@@ -117,7 +121,7 @@ bool Scheduler::Cancel(EventId id) {
 }
 
 void Scheduler::MaybeCompact() {
-  const size_t tombstones = heap_.size() - live_;
+  const size_t tombstones = heap_.size() + (due_.size() - due_head_) - live_;
   if (tombstones <= kCompactFloor || tombstones <= live_) {
     return;
   }
@@ -125,27 +129,49 @@ void Scheduler::MaybeCompact() {
   for (size_t i = heap_.size(); i-- > 0;) {
     SiftDown(heap_, i);  // bottom-up heapify (a leaf's sift is a no-op)
   }
+  due_.erase(due_.begin(), due_.begin() + static_cast<std::ptrdiff_t>(due_head_));
+  due_head_ = 0;
+  std::erase_if(due_, [this](const DueEntry& e) { return !IsLive(e); });  // keeps FIFO order
   ++stats_.compactions;
 }
 
+void Scheduler::PopDue() {
+  if (++due_head_ == due_.size()) {
+    due_.clear();  // the lane drains before every clock advance
+    due_head_ = 0;
+  }
+}
+
 bool Scheduler::LiveTopBy(uint64_t limit_ns) {
-  while (!heap_.empty()) {
-    if (IsLive(heap_.front())) {
-      return heap_.front().when_ns <= limit_ns;
-    }
+  while (!heap_.empty() && !IsLive(heap_.front())) {
     PopTop(heap_);
   }
-  return false;
+  while (due_head_ < due_.size() && !IsLive(due_[due_head_])) {
+    PopDue();
+  }
+  if (due_head_ < due_.size()) {
+    return now_.nanos() <= limit_ns;  // the next event is due now, lane or heap
+  }
+  return !heap_.empty() && heap_.front().when_ns <= limit_ns;
 }
 
 void Scheduler::ExecuteTop() {
-  const Entry entry = heap_.front();
-  PopTop(heap_);
-  Action action = std::move(slots_[entry.slot].action);
-  slots_[entry.slot].action = nullptr;
-  Release(entry.slot);
+  uint32_t slot;
+  if (due_head_ == due_.size() || (!heap_.empty() && heap_.front().when_ns == now_.nanos())) {
+    // A heap entry due now was scheduled before the clock got here, so it
+    // runs ahead of the whole lane.
+    slot = heap_.front().slot;
+    now_ = SimTime::FromNanos(heap_.front().when_ns);
+    PopTop(heap_);
+  } else {
+    slot = due_[due_head_].slot;
+    PopDue();
+    ++stats_.immediate;
+  }
+  Action action = std::move(slots_[slot].action);
+  slots_[slot].action = nullptr;
+  Release(slot);
   MaybeCompact();
-  now_ = SimTime::FromNanos(entry.when_ns);
   ++executed_;
   action();
 }

@@ -1,8 +1,11 @@
-// Unit tests for the interconnect simulations (ADC, I2C, SPI, UART) and the
-// per-channel bus mux.
+// Unit tests for the interconnect simulations (ADC, I2C, SPI, UART), the
+// per-channel bus mux, and the native libraries' split-phase events over
+// them.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "src/bus/adc.h"
@@ -10,6 +13,7 @@
 #include "src/bus/i2c.h"
 #include "src/bus/spi.h"
 #include "src/bus/uart.h"
+#include "src/rt/native_libs.h"
 
 namespace micropnp {
 namespace {
@@ -322,6 +326,146 @@ TEST(ChannelBus, MuxSelectsOneKind) {
   EXPECT_FALSE(bus.IsSelected(BusKind::kAdc));
   bus.Select(std::nullopt);
   EXPECT_FALSE(bus.IsSelected(BusKind::kUart));
+}
+
+// ----------------------------------------------------- native libraries ----
+
+// One library on a bare router; every post is recorded with its sim time.
+struct LibraryRig {
+  static constexpr int kSlot = 3;
+
+  explicit LibraryRig(BusKind kind) : bus(sched) {
+    bus.Select(kind);
+    router.set_on_post([this] { post_times.push_back(sched.now()); });
+    ctx = NativeLibContext{&sched, &bus, &router, kSlot, nullptr};
+  }
+
+  std::vector<Event> Drain() {
+    std::vector<Event> events;
+    router.ProcessAll([&](int slot, const Event& e) {
+      EXPECT_EQ(slot, kSlot);
+      events.push_back(e);
+    });
+    return events;
+  }
+
+  Scheduler sched;
+  ChannelBus bus;
+  EventRouter router;
+  NativeLibContext ctx;
+  std::vector<SimTime> post_times;
+};
+
+TEST(NativeLibraries, UartStalledFramePostsOneTimeoutAfterTheLastByte) {
+  LibraryRig rig(BusKind::kUart);
+  UartNativeLibrary uart(rig.ctx);
+  const int32_t config[] = {9600, 0, 1, 8};
+  uart.Invoke(kUartInit, config);
+  uart.Invoke(kUartRead, {});
+  // STX and four of the twelve payload chars, then silence.
+  for (uint8_t byte : {uint8_t{0x02}, uint8_t{'4'}, uint8_t{'A'}, uint8_t{'0'}, uint8_t{'0'}}) {
+    rig.bus.uart().DeviceSend(byte);
+  }
+  rig.sched.RunUntil(SimTime::FromMillis(10.0));  // 5 bytes at 9600 8N1 take ~5.2 ms
+  ASSERT_EQ(rig.post_times.size(), 5u);
+  EXPECT_EQ(rig.sched.pending(), 1u);  // one timeout armed, not one per byte
+
+  rig.sched.Run();
+  ASSERT_EQ(rig.post_times.size(), 6u);
+  EXPECT_EQ(rig.post_times[5],
+            rig.post_times[4] + SimTime::FromMillis(UartNativeLibrary::kInterByteTimeoutMs));
+  int newdata = 0;
+  int timeouts = 0;
+  for (const Event& e : rig.Drain()) {
+    newdata += e.id == kEventNewData ? 1 : 0;
+    timeouts += e.id == kErrorTimeout ? 1 : 0;
+  }
+  EXPECT_EQ(newdata, 5);
+  EXPECT_EQ(timeouts, 1);
+}
+
+TEST(NativeLibraries, TeardownCancelsEveryEventInFlight) {
+  // A library torn down with a split-phase event in flight (the driver was
+  // unplugged mid-operation) must leave nothing scheduled: the event would
+  // run on a destroyed library and post to a slot a new driver may reuse.
+  FixedSource source(1.0);
+  EchoI2cDevice i2c_device(0x42);
+  AddOneSpiDevice spi_device;
+  struct Case {
+    const char* name;
+    BusKind bus;
+    LibraryId lib;
+    std::function<void(LibraryRig&, NativeLibrary&)> start;
+  };
+  const std::vector<Case> cases = {
+      {"uart", BusKind::kUart, kLibUart,
+       [](LibraryRig& rig, NativeLibrary& lib) {
+         const int32_t config[] = {9600, 0, 1, 8};
+         lib.Invoke(kUartInit, config);
+         lib.Invoke(kUartRead, {});
+         rig.bus.uart().DeviceSend(0x02);
+         rig.sched.RunUntil(SimTime::FromMillis(5.0));  // byte in, timeout armed
+       }},
+      {"adc", BusKind::kAdc, kLibAdc,
+       [&](LibraryRig& rig, NativeLibrary& lib) {
+         rig.bus.adc().AttachSource(&source);
+         const int32_t config[] = {0, 10};
+         lib.Invoke(kAdcInit, config);
+         lib.Invoke(kAdcRead, {});
+       }},
+      {"i2c", BusKind::kI2c, kLibI2c,
+       [&](LibraryRig& rig, NativeLibrary& lib) {
+         ASSERT_TRUE(rig.bus.i2c().Attach(&i2c_device).ok());
+         const int32_t clock[] = {100};
+         lib.Invoke(kI2cInit, clock);
+         const int32_t read[] = {0x42, 0x00};
+         lib.Invoke(kI2cRead8, read);
+       }},
+      {"spi", BusKind::kSpi, kLibSpi,
+       [&](LibraryRig& rig, NativeLibrary& lib) {
+         rig.bus.spi().AttachDevice(&spi_device);
+         const int32_t config[] = {1000, 0};
+         lib.Invoke(kSpiInit, config);
+         const int32_t tx[] = {1, 2};
+         lib.Invoke(kSpiTransfer2, tx);
+       }},
+      {"timer", BusKind::kAdc, kLibTimer,  // the timer touches no bus
+       [](LibraryRig&, NativeLibrary& lib) {
+         const int32_t period[] = {100};
+         lib.Invoke(kTimerStart, period);
+         const int32_t delay[] = {50};
+         lib.Invoke(kTimerOnce, delay);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    LibraryRig rig(c.bus);
+    std::unique_ptr<NativeLibrary> lib = MakeNativeLibrary(c.lib, rig.ctx);
+    ASSERT_NE(lib, nullptr);
+    c.start(rig, *lib);
+    ASSERT_GT(rig.sched.pending(), 0u);
+    const size_t posts = rig.post_times.size();
+    lib->Teardown();
+    EXPECT_EQ(rig.sched.pending(), 0u);
+    lib.reset();
+    rig.sched.Run();
+    EXPECT_EQ(rig.post_times.size(), posts);
+  }
+}
+
+TEST(NativeLibraries, TimerStopCancelsPeriodicAndOnceTicks) {
+  LibraryRig rig(BusKind::kAdc);  // the timer touches no bus
+  TimerNativeLibrary timer(rig.ctx);
+  const int32_t period[] = {100};
+  timer.Invoke(kTimerStart, period);
+  const int32_t delay[] = {250};
+  timer.Invoke(kTimerOnce, delay);
+  rig.sched.RunUntil(SimTime::FromMillis(210.0));
+  EXPECT_EQ(rig.post_times.size(), 2u);  // ticks at 100 and 200 ms
+  timer.Invoke(kTimerStop, {});
+  EXPECT_EQ(rig.sched.pending(), 0u);
+  rig.sched.Run();
+  EXPECT_EQ(rig.post_times.size(), 2u);
 }
 
 }  // namespace

@@ -586,6 +586,25 @@ TEST(EndToEnd, Id20LaDriverAssemblesCardFrames) {
   EXPECT_TRUE(ValidateId20LaPayload(payload));
 }
 
+TEST(EndToEnd, Id20LaCompleteFrameLeavesNothingScheduled) {
+  // Each byte supersedes the previous byte's inter-byte timeout, and the
+  // driver's uart.stop on ETX cancels the last one.
+  RuntimeHarness h;
+  Id20La reader;
+  h.PlugAndSettle(0, &reader);
+  DriverHost* host = h.manager_.HostForChannel(0);
+  std::optional<ProducedValue> produced;
+  host->set_result_handler([&](const ProducedValue& v) { produced = v; });
+  h.router_.Post(0, Event::Of(kEventRead));
+  h.scheduler_.RunUntil(h.scheduler_.now() + SimTime::FromMillis(5));
+  EXPECT_EQ(h.scheduler_.pending(), 0u);
+
+  ASSERT_TRUE(reader.PresentCard({0x4a, 0x00, 0xd2, 0x3f, 0x81}));
+  h.scheduler_.RunUntil(h.scheduler_.now() + SimTime::FromMillis(50));  // 16 bytes: ~17 ms
+  ASSERT_TRUE(produced.has_value());
+  EXPECT_EQ(h.scheduler_.pending(), 0u);
+}
+
 TEST(EndToEnd, RelayDriverWritesAndReadsBack) {
   RuntimeHarness h;
   Relay relay;

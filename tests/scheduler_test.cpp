@@ -4,10 +4,12 @@
 // the seed heap (src/sim/reference_scheduler.h): same execution order, same
 // clock, same executed()/pending() counts, same Cancel() verdicts — for any
 // trace of ScheduleAt / ScheduleAfter / Cancel / Step / RunUntil / Run,
-// including actions that schedule or cancel from inside the callback and
+// including actions that schedule or cancel from inside the callback,
 // bursts of far-future timers that are mostly cancelled (the lazy-cancel
-// compaction path).  The property test below replays >= 1000 seeded random
-// traces against both.
+// compaction path), and same-instant clusters whose callbacks queue and
+// cancel zero-delay chains while earlier entries at that instant are still
+// in the heap (the due-now lane).  The property test below replays >= 1000
+// seeded random traces against both.
 //
 // The algorithmic half pins the scheduler's complexity and memory: a 100k
 // schedule+cancel workload must finish in time linear in the operation count
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -212,6 +215,60 @@ TEST(SchedulerTest, CancelDestroysTheClosureImmediately) {
   EXPECT_EQ(s.stats().held, 0u);
 }
 
+TEST(SchedulerTest, DueNowLaneRunsAfterEarlierEntriesAtTheSameInstant) {
+  // Entries at t scheduled before the clock reached t precede every
+  // zero-delay event scheduled at t, and RunUntil(t) drains the lane.
+  Scheduler s;
+  std::vector<int> order;
+  const SimTime t = SimTime::FromMillis(5.0);
+  s.ScheduleAt(t, [&] {
+    order.push_back(1);
+    s.ScheduleAfter(SimTime::FromNanos(0), [&] {
+      order.push_back(4);
+      s.ScheduleAt(t, [&] { order.push_back(6); });  // chained, still due at t
+    });
+    s.ScheduleAt(SimTime::FromMillis(1.0), [&] { order.push_back(5); });  // past: clamps to t
+  });
+  s.ScheduleAt(t, [&] { order.push_back(2); });
+  s.ScheduleAt(t, [&] { order.push_back(3); });
+  s.ScheduleAt(t + SimTime::FromNanos(1), [&] { order.push_back(7); });
+  EXPECT_EQ(s.RunUntil(t), 6u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(s.now(), t);
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.stats().immediate, 3u);
+  EXPECT_EQ(s.stats().held, 1u);
+  EXPECT_EQ(s.Run(), 1u);
+  EXPECT_EQ(order.back(), 7);
+  EXPECT_EQ(s.stats().immediate, 3u);
+}
+
+TEST(SchedulerTest, CancelledLaneEntriesAreSweptAndSurvivorsStayFifo) {
+  Scheduler s;
+  std::vector<int> order;
+  s.ScheduleAt(SimTime::FromMillis(1.0), [&] {
+    std::vector<Scheduler::EventId> ids;
+    for (int i = 0; i < 1000; ++i) {
+      ids.push_back(s.ScheduleAfter(SimTime::FromNanos(0), [&order, i] { order.push_back(i); }));
+    }
+    for (int i = 0; i < 1000; ++i) {
+      if (i % 10 != 0) {
+        EXPECT_TRUE(s.Cancel(ids[i]));
+        EXPECT_LE(s.stats().held, 2 * s.pending() + Scheduler::kCompactFloor) << i;
+      }
+    }
+  });
+  EXPECT_EQ(s.Run(), 101u);
+  std::vector<int> expected;
+  for (int i = 0; i < 1000; i += 10) {
+    expected.push_back(i);
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_GT(s.stats().compactions, 0u);
+  EXPECT_EQ(s.stats().immediate, 100u);
+  EXPECT_EQ(s.stats().held, 0u);
+}
+
 // ----------------------------------------------------------- differential ---
 
 // Applies an identical random trace to both schedulers, comparing every
@@ -225,6 +282,10 @@ struct Replica {
   std::vector<typename S::EventId> ids;  // top-level events, for Cancel
   std::vector<uint64_t> tags;            // tag of ids[i]
   std::unordered_map<uint64_t, typename S::EventId> live;  // pending: tag -> id
+  // Zero-delay chain links: tags from their own range, issued in execution
+  // order (so equal across replicas that agree), and each link's victim.
+  uint64_t next_link_tag = uint64_t{1} << 62;
+  std::unordered_map<uint64_t, std::pair<uint64_t, typename S::EventId>> victims;
 
   // Every new id must be nonzero and distinct from every pending event's id.
   void Issued(uint64_t tag, typename S::EventId id) {
@@ -234,10 +295,43 @@ struct Replica {
     }
     live.emplace(tag, id);
   }
+
+  // Queues a zero-delay chain of `depth` + 1 links.  With `victim`, each link
+  // also queues a victim right behind its successor; the successor cancels
+  // it while it still waits in the due-now lane, and logs the verdict.
+  void Link(uint64_t depth, bool victim) {
+    const uint64_t tag = next_link_tag++;
+    Issued(tag, sched.ScheduleAfter(SimTime::FromNanos(0), [this, tag, depth, victim] {
+      log.push_back(tag);
+      live.erase(tag);
+      if (auto it = victims.find(tag); it != victims.end()) {
+        const auto [victim_tag, victim_id] = it->second;
+        victims.erase(it);
+        if (sched.Cancel(victim_id)) {
+          log.push_back(victim_tag | (uint64_t{1} << 61));
+          live.erase(victim_tag);
+        }
+      }
+      if (depth == 0) {
+        return;
+      }
+      const uint64_t successor = next_link_tag;
+      Link(depth - 1, victim);
+      if (victim) {
+        const uint64_t victim_tag = next_link_tag++;
+        const auto id = sched.ScheduleAfter(SimTime::FromNanos(0), [this, victim_tag] {
+          log.push_back(victim_tag);
+          live.erase(victim_tag);
+        });
+        Issued(victim_tag, id);
+        victims[successor] = {victim_tag, id};
+      }
+    }));
+  }
 };
 
-// Returns the number of heap compactions the trace triggered.
-uint64_t RunTrace(uint64_t seed) {
+// Returns the production scheduler's stats at the end of the trace.
+SchedulerStats RunTrace(uint64_t seed) {
   Replica<Scheduler> prod;
   Replica<ReferenceScheduler> ref;
   Rng rng(seed);
@@ -268,6 +362,24 @@ uint64_t RunTrace(uint64_t seed) {
       const auto id = absolute ? replica.sched.ScheduleAt(when, make_action(replica))
                                : replica.sched.ScheduleAfter(SimTime::FromNanos(delay_ns),
                                                              make_action(replica));
+      replica.ids.push_back(id);
+      replica.tags.push_back(tag);
+      replica.Issued(tag, id);
+    };
+    issue(prod);
+    issue(ref);
+  };
+  // A same-instant cluster member: when it runs it starts a zero-delay chain
+  // while its later siblings still wait in the heap at the same time.
+  auto schedule_cluster_member = [&](SimTime when, uint64_t depth, bool victim) {
+    const uint64_t tag = next_tag++;
+    auto issue = [&](auto& replica) {
+      auto* r = &replica;
+      const auto id = replica.sched.ScheduleAt(when, [r, tag, depth, victim] {
+        r->log.push_back(tag);
+        r->live.erase(tag);
+        r->Link(depth, victim);
+      });
       replica.ids.push_back(id);
       replica.tags.push_back(tag);
       replica.Issued(tag, id);
@@ -334,6 +446,15 @@ uint64_t RunTrace(uint64_t seed) {
       for (size_t pick : victims) {
         cancel(pick);
       }
+    } else if (kind < 50) {
+      // Same-instant cluster, at now (all in the lane) or a little later
+      // (heap entries that precede the lane once the clock gets there).
+      const SimTime when =
+          prod.sched.now() + SimTime::FromNanos(rng.Bernoulli(0.25) ? 0 : rng.UniformInt(1, 2000));
+      const uint64_t members = rng.UniformInt(2, 6);
+      for (uint64_t i = 0; i < members; ++i) {
+        schedule_cluster_member(when, rng.UniformInt(0, 3), rng.Bernoulli(0.5));
+      }
     } else if (kind < 60) {  // cancel a previously issued id (maybe stale)
       if (!prod.ids.empty()) {
         cancel(rng.UniformInt(0, prod.ids.size() - 1));
@@ -349,7 +470,7 @@ uint64_t RunTrace(uint64_t seed) {
       EXPECT_EQ(prod.sched.Run(), ref.sched.Run()) << "seed " << seed << " op " << op;
     }
     if (::testing::Test::HasFailure()) {
-      return 0;
+      return {};
     }
     EXPECT_EQ(prod.sched.now().nanos(), ref.sched.now().nanos()) << "seed " << seed << " op " << op;
     EXPECT_EQ(prod.sched.pending(), ref.sched.pending()) << "seed " << seed << " op " << op;
@@ -359,7 +480,7 @@ uint64_t RunTrace(uint64_t seed) {
     EXPECT_LE(prod.sched.stats().held, 2 * prod.sched.pending() + Scheduler::kCompactFloor)
         << "seed " << seed << " op " << op;
     if (::testing::Test::HasFailure()) {
-      return 0;
+      return {};
     }
   }
   // Drain completely: the tail must agree too.
@@ -368,19 +489,24 @@ uint64_t RunTrace(uint64_t seed) {
   EXPECT_TRUE(prod.sched.empty());
   EXPECT_EQ(prod.sched.stats().held, 0u) << "seed " << seed;
   EXPECT_EQ(prod.sched.now().nanos(), ref.sched.now().nanos()) << "seed " << seed;
-  return prod.sched.stats().compactions;
+  return prod.sched.stats();
 }
 
 TEST(SchedulerDifferentialTest, MatchesReferenceSchedulerOnRandomTraces) {
   uint64_t compactions = 0;
+  uint64_t immediate = 0;
   for (uint64_t seed = 1; seed <= 1000; ++seed) {
-    compactions += RunTrace(seed);
+    const SchedulerStats stats = RunTrace(seed);
+    compactions += stats.compactions;
+    immediate += stats.immediate;
     if (::testing::Test::HasFailure()) {
       return;
     }
   }
-  // The burst shape must actually reach the compaction path.
+  // The burst shape must actually reach the compaction path, and the
+  // cluster and zero-delay shapes the due-now lane.
   EXPECT_GT(compactions, 0u);
+  EXPECT_GT(immediate, 0u);
 }
 
 // ------------------------------------------------------------- complexity ---
