@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 #include "src/common/logging.h"
 
@@ -196,11 +197,48 @@ std::optional<double> Fabric::SimulateHops(const std::vector<Transfer>& hops,
   return total_ms;
 }
 
+void Fabric::ScheduleDelivery(Send& send, NetNode& to, double latency_ms) {
+  if (send.packet == kNoPacket) {
+    if (free_packets_.empty()) {
+      send.packet = static_cast<uint32_t>(packets_.size());
+      packets_.emplace_back();
+    } else {
+      send.packet = free_packets_.back();
+      free_packets_.pop_back();
+    }
+    Packet& packet = packets_[send.packet];
+    packet.src = send.src.address();
+    packet.dst = send.dst;
+    packet.port = send.port;
+    packet.bytes.assign(send.payload.begin(), send.payload.end());
+  }
+  ++packets_[send.packet].refs;
+  auto deliver = [node = &to, slot = send.packet] { node->fabric_.DeliverPacket(*node, slot); };
+  // Small and trivially copyable, so std::function stores it inline.
+  static_assert(sizeof(deliver) <= 16 && std::is_trivially_copyable_v<decltype(deliver)>);
+  scheduler_.ScheduleAfter(SimTime::FromMillis(latency_ms), deliver);
+}
+
+void Fabric::DeliverPacket(NetNode& to, uint32_t slot) {
+  Packet& packet = packets_[slot];
+  to.Deliver(packet.src, packet.dst, packet.port, packet.bytes);
+  if (--packet.refs == 0) {
+    free_packets_.push_back(slot);
+    if (free_packets_.size() == packets_.size()) {
+      // Drained: give a burst's slots back to the allocator rather than
+      // holding them for the rest of the run.
+      packets_.clear();
+      free_packets_.clear();
+    }
+  }
+}
+
 void Fabric::Route(NetNode& src, const Ip6Address& dst, uint16_t port,
                    const std::vector<uint8_t>& payload) {
   ScratchGuard guard(context_);
+  Send send{src, dst, port, payload};
   if (dst.IsMulticast()) {
-    RouteMulticast(src, dst, port, payload);
+    RouteMulticast(send);
     return;
   }
   // Anycast: deliver to the nearest bound node (Section 5: "the µPnP manager
@@ -217,25 +255,22 @@ void Fabric::Route(NetNode& src, const Ip6Address& dst, uint16_t port,
         nearest = candidate;
       }
     }
-    RouteUnicast(src, *nearest, dst, port, payload);
+    RouteUnicast(send, *nearest);
     return;
   }
   // Plain unicast.
   auto node = nodes_by_address_.find(dst);
   if (node != nodes_by_address_.end()) {
-    RouteUnicast(src, *node->second, dst, port, payload);
+    RouteUnicast(send, *node->second);
     return;
   }
   MLOG(kDebug, "net") << "no route to " << dst.ToString();
 }
 
-void Fabric::RouteUnicast(NetNode& src, NetNode& dst, const Ip6Address& dst_addr, uint16_t port,
-                          const std::vector<uint8_t>& payload) {
+void Fabric::RouteUnicast(Send& send, NetNode& dst) {
+  NetNode& src = send.src;
   if (&src == &dst) {
-    scheduler_.ScheduleAfter(SimTime::FromMillis(0.05),
-                             [&dst, src_addr = src.address(), dst_addr, port, payload] {
-                               dst.Deliver(src_addr, dst_addr, port, payload);
-                             });
+    ScheduleDelivery(send, dst, 0.05);
     return;
   }
   const std::vector<NetNode*>& path = TreePath(src, dst);
@@ -246,17 +281,14 @@ void Fabric::RouteUnicast(NetNode& src, NetNode& dst, const Ip6Address& dst_addr
   // Sender-side stack processing.
   double latency = src.profile().tx_processing_ms *
                    (1.0 + src.profile().jitter_fraction * context_.rng.Uniform(-1.0, 1.0));
-  std::optional<double> wire = SimulateHops(hops, payload.size(), /*multicast=*/false);
+  std::optional<double> wire = SimulateHops(hops, send.payload.size(), /*multicast=*/false);
   if (!wire.has_value()) {
     return;  // lost
   }
   latency += *wire;
   latency += dst.profile().rx_processing_ms *
              (1.0 + dst.profile().jitter_fraction * context_.rng.Uniform(-1.0, 1.0));
-  scheduler_.ScheduleAfter(SimTime::FromMillis(latency),
-                           [&dst, src_addr = src.address(), dst_addr, port, payload] {
-                             dst.Deliver(src_addr, dst_addr, port, payload);
-                           });
+  ScheduleDelivery(send, dst, latency);
 }
 
 void Fabric::UpdateSubtreeMembership(NetNode& node, const Ip6Address& group, int delta) {
@@ -292,8 +324,10 @@ void Fabric::UpdateSubtreeMembership(NetNode& node, const Ip6Address& group, int
   }
 }
 
-void Fabric::RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port,
-                            const std::vector<uint8_t>& payload) {
+void Fabric::RouteMulticast(Send& send) {
+  NetNode& src = send.src;
+  const Ip6Address& group = send.dst;
+  const size_t payload_bytes = send.payload.size();
   // Phase 1: the datagram climbs to the DODAG root.
   NetNode* root = &src;
   context_.hops_scratch.clear();
@@ -305,7 +339,7 @@ void Fabric::RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port
   const double tx = src.profile().tx_processing_ms *
                     (1.0 + src.profile().jitter_fraction * context_.rng.Uniform(-1.0, 1.0));
   std::optional<double> climb =
-      SimulateHops(context_.hops_scratch, payload.size(), /*multicast=*/true);
+      SimulateHops(context_.hops_scratch, payload_bytes, /*multicast=*/true);
   if (!climb.has_value()) {
     return;
   }
@@ -325,10 +359,7 @@ void Fabric::RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port
       NetNode* dst = current.node;
       const double rx = dst->profile().rx_processing_ms *
                         (1.0 + dst->profile().jitter_fraction * context_.rng.Uniform(-1.0, 1.0));
-      scheduler_.ScheduleAfter(SimTime::FromMillis(current.latency + rx),
-                               [dst, src_addr = src.address(), group, port, payload] {
-                                 dst->Deliver(src_addr, group, port, payload);
-                               });
+      ScheduleDelivery(send, *dst, current.latency + rx);
     }
 
     // Forward into child subtrees: every child when flooding, otherwise
@@ -346,7 +377,7 @@ void Fabric::RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port
     for (NetNode* child : *next) {
       context_.single_hop.assign(1, Transfer{current.node, child});
       std::optional<double> wire =
-          SimulateHops(context_.single_hop, payload.size(), /*multicast=*/true);
+          SimulateHops(context_.single_hop, payload_bytes, /*multicast=*/true);
       if (!wire.has_value()) {
         continue;  // lost on this branch only
       }

@@ -21,6 +21,11 @@
 // Per-frame transmissions are counted globally and per delivery, which is
 // what the SMRF-vs-flooding ablation measures.
 //
+// Each send copies its datagram once into a pooled Packet; every delivery
+// of that send (one per multicast member) is a 16-byte scheduler closure
+// naming the receiving node and the packet's slot, and the slot returns to
+// the pool after the last delivery.
+//
 // Threading: single-threaded.  A fabric and every node on it run on the
 // one Scheduler of their Deployment, so nothing here locks.  Routing draws
 // from a single RNG stream (seeded from the scenario seed) and reuses one
@@ -33,6 +38,7 @@
 #define SRC_NET_FABRIC_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -179,6 +185,9 @@ class Fabric {
   uint64_t multicast_frames() const { return multicast_frames_; }
   void ResetStats();
 
+  // Pooled packets with a delivery still scheduled (0 at quiescence).
+  size_t packets_in_flight() const { return packets_.size() - free_packets_.size(); }
+
   // Hop distance along the tree between two nodes.
   int HopDistance(const NetNode& a, const NetNode& b) const;
 
@@ -194,6 +203,27 @@ class Fabric {
   struct Descent {
     NetNode* node;
     double latency;
+  };
+
+  // One datagram in flight, shared by every delivery of its send.  `refs`
+  // counts the deliveries still scheduled; at zero the slot is free.
+  struct Packet {
+    Ip6Address src;
+    Ip6Address dst;
+    std::vector<uint8_t> bytes;
+    uint16_t port = 0;
+    uint32_t refs = 0;
+  };
+  static constexpr uint32_t kNoPacket = UINT32_MAX;
+
+  // One SendUdp while it is being routed.  `packet` is acquired at the
+  // first delivery, so a send that reaches nobody copies nothing.
+  struct Send {
+    NetNode& src;
+    const Ip6Address& dst;
+    uint16_t port;
+    const std::vector<uint8_t>& payload;
+    uint32_t packet = kNoPacket;
   };
 
   // Everything the routing hot path mutates.  The scratch buffers are
@@ -227,10 +257,12 @@ class Fabric {
 
   void Route(NetNode& src, const Ip6Address& dst, uint16_t port,
              const std::vector<uint8_t>& payload);
-  void RouteUnicast(NetNode& src, NetNode& dst, const Ip6Address& dst_addr, uint16_t port,
-                    const std::vector<uint8_t>& payload);
-  void RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port,
-                      const std::vector<uint8_t>& payload);
+  void RouteUnicast(Send& send, NetNode& dst);
+  void RouteMulticast(Send& send);
+  // Schedules `send`'s delivery to `to` after `latency_ms`.
+  void ScheduleDelivery(Send& send, NetNode& to, double latency_ms);
+  // Runs one scheduled delivery, then releases its reference on the packet.
+  void DeliverPacket(NetNode& to, uint32_t slot);
   void UpdateSubtreeMembership(NetNode& node, const Ip6Address& group, int delta);
 
   // Path along the tree (exclusive of src, inclusive of dst), built by a
@@ -254,6 +286,13 @@ class Fabric {
 
   // The routing RNG stream and scratch buffers.
   RouteContext context_;
+
+  // The packet slab and its free slots, emptied whenever no packet is in
+  // flight.  A deque, because a handler may send from inside its own
+  // delivery: growing the slab must not move the packet whose bytes that
+  // handler is still reading.
+  std::deque<Packet> packets_;
+  std::vector<uint32_t> free_packets_;
 
   uint64_t frames_transmitted_ = 0;
   uint64_t frames_lost_ = 0;

@@ -34,10 +34,14 @@ bool PendingIndex::Insert(const Ip6Address& peer, uint16_t sequence, uint64_t va
 }
 
 uint64_t PendingIndex::Find(const Ip6Address& peer, uint16_t sequence) const {
-  return cells_[Probe(peer, sequence)].value;
+  // Most lookups on a Thing hit an empty index: skip the hash and the probe.
+  return size_ == 0 ? 0 : cells_[Probe(peer, sequence)].value;
 }
 
 bool PendingIndex::Erase(const Ip6Address& peer, uint16_t sequence) {
+  if (size_ == 0) {
+    return false;
+  }
   size_t i = Probe(peer, sequence);
   if (cells_[i].value == 0) {
     return false;

@@ -608,6 +608,20 @@ void MicroPnpThing::TrickleTick(uint64_t generation) {
 
 void MicroPnpThing::OnDatagram(const Ip6Address& src, const Ip6Address& dst, uint16_t /*port*/,
                                const std::vector<uint8_t>& payload) {
+  // A Thing shares its peripheral group with every other Thing of that
+  // type, so it hears their (14) values and (15) closes.  Those, like (1)
+  // advertisements, are client-bound: no Thing request accepts them and no
+  // handler consumes them, so they are dropped unparsed.
+  if (!payload.empty()) {
+    switch (static_cast<MessageType>(payload[0])) {
+      case MessageType::kUnsolicitedAdvertisement:
+      case MessageType::kStreamData:
+      case MessageType::kStreamClosed:
+        return;
+      default:
+        break;
+    }
+  }
   Result<Message> parsed = Message::Parse(ByteSpan(payload.data(), payload.size()));
   if (!parsed.ok()) {
     MLOG(kDebug, "thing") << "dropping malformed datagram from " << src.ToString();

@@ -17,6 +17,7 @@
 #include "src/common/rng.h"
 #include "src/core/deployment.h"
 #include "src/proto/endpoint.h"
+#include "src/proto/pending_index.h"
 #include "tests/message_corpus.h"
 
 namespace micropnp {
@@ -283,6 +284,43 @@ TEST_F(EndpointHarness, WrappedSequenceNeverAliasesPendingTransaction) {
   deployment_.RunForMillis(200);
   EXPECT_EQ(*fires, 0);
   EXPECT_EQ(endpoint_->counters().stale_replies_dropped, 1u);
+}
+
+// --------------------------------------------------------- pending index ----
+
+TEST(PendingIndex, EmptyIndexFindsContainsAndErasesNothing) {
+  PendingIndex index(64);
+  const Ip6Address peer = *Ip6Address::Parse("2001:db8::7");
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.Find(peer, 1), 0u);
+  EXPECT_FALSE(index.Contains(peer, 1));
+  EXPECT_FALSE(index.Erase(peer, 1));
+  EXPECT_EQ(index.size(), 0u);
+}
+
+TEST(PendingIndex, EmptyAgainAfterInsertEraseCycle) {
+  PendingIndex index(64);
+  const Ip6Address peer = *Ip6Address::Parse("2001:db8::7");
+  const Ip6Address other = *Ip6Address::Parse("2001:db8::8");
+  for (uint16_t seq = 0; seq < 40; ++seq) {
+    ASSERT_TRUE(index.Insert(seq % 2 == 0 ? peer : other, seq, 1000u + seq));
+  }
+  EXPECT_EQ(index.Find(other, 7), 1007u);
+  EXPECT_TRUE(index.Contains(peer, 8));
+  for (uint16_t seq = 0; seq < 40; ++seq) {
+    ASSERT_TRUE(index.Erase(seq % 2 == 0 ? peer : other, seq));
+  }
+  EXPECT_EQ(index.size(), 0u);
+  for (uint16_t seq = 0; seq < 40; ++seq) {
+    const Ip6Address& key = seq % 2 == 0 ? peer : other;
+    EXPECT_EQ(index.Find(key, seq), 0u);
+    EXPECT_FALSE(index.Contains(key, seq));
+    EXPECT_FALSE(index.Erase(key, seq));
+  }
+  // Still usable: the cycle left no residue behind.
+  ASSERT_TRUE(index.Insert(peer, 3, 42));
+  EXPECT_EQ(index.Find(peer, 3), 42u);
+  EXPECT_EQ(index.size(), 1u);
 }
 
 // ------------------------------------------------- lossy-fabric end to end ----

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <set>
 
@@ -269,6 +270,76 @@ TEST_F(FabricTest, SelfSendLoopsBack) {
   EXPECT_EQ(fabric_.frames_transmitted(), 0u);  // never hits the radio
 }
 
+// ------------------------------------------------------------ packet slab ----
+
+TEST_F(FabricTest, MulticastHoldsOnePacketUntilItsLastDelivery) {
+  Ip6Address group = PeripheralGroup(PrefixOf(root_->address()), 0x61);
+  std::vector<NetNode*> members = {a_, b_, c_};
+  for (int i = 0; i < 4; ++i) {
+    std::array<uint8_t, 16> raw = b_->address().bytes();
+    raw[15] = static_cast<uint8_t>(0x20 + i);
+    members.push_back(
+        fabric_.CreateNode(std::to_string(i), Ip6Address(raw), NodeProfile::Embedded(), b_));
+  }
+  int delivered = 0;
+  for (NetNode* member : members) {
+    member->JoinGroup(group);
+    member->BindUdp(6030, [&](const Ip6Address&, const Ip6Address&, uint16_t,
+                              const std::vector<uint8_t>& payload) {
+      EXPECT_EQ(payload, (std::vector<uint8_t>{7, 8, 9}));
+      EXPECT_EQ(fabric_.packets_in_flight(), 1u);  // shared, held through this delivery
+      ++delivered;
+    });
+  }
+  root_->SendUdp(group, 6030, {7, 8, 9});
+  EXPECT_EQ(sched_.pending(), members.size());
+  EXPECT_EQ(fabric_.packets_in_flight(), 1u);
+  while (sched_.Step()) {
+    EXPECT_EQ(fabric_.packets_in_flight(), sched_.empty() ? 0u : 1u);
+  }
+  EXPECT_EQ(delivered, static_cast<int>(members.size()));
+
+  // A send that reaches no member acquires nothing.
+  root_->SendUdp(PeripheralGroup(PrefixOf(root_->address()), 0x62), 6030, {1});
+  EXPECT_EQ(fabric_.packets_in_flight(), 0u);
+  EXPECT_TRUE(sched_.empty());
+}
+
+TEST_F(FabricTest, SendingFromADeliveryLeavesItsOwnBytesIntact) {
+  // Growing the slab from inside a delivery must not move the packet being
+  // delivered: with a contiguous slab, `payload` would dangle here (a hard
+  // failure under AddressSanitizer).
+  Ip6Address group = PeripheralGroup(PrefixOf(root_->address()), 0x63);
+  c_->JoinGroup(group);
+  std::vector<uint8_t> sent(150);
+  for (size_t i = 0; i < sent.size(); ++i) {
+    sent[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  int fan_out = 0;
+  b_->BindUdp(7001, [&](const Ip6Address& src, const Ip6Address&, uint16_t,
+                        const std::vector<uint8_t>& payload) {
+    ASSERT_EQ(payload, sent);
+    for (int i = 0; i < 100; ++i) {
+      b_->SendUdp(src, 7002, payload);
+      b_->SendUdp(group, 7002, payload);
+    }
+    EXPECT_GE(fabric_.packets_in_flight(), 201u);  // this one, still held, plus 200
+    EXPECT_EQ(payload, sent);
+  });
+  std::vector<NetNode*> receivers = {a_, c_};
+  for (NetNode* node : receivers) {
+    node->BindUdp(7002, [&](const Ip6Address&, const Ip6Address&, uint16_t,
+                            const std::vector<uint8_t>& payload) {
+      EXPECT_EQ(payload, sent);
+      ++fan_out;
+    });
+  }
+  a_->SendUdp(b_->address(), 7001, sent);
+  sched_.Run();
+  EXPECT_EQ(fan_out, 200);  // 100 unicast replies to a, 100 group copies to c
+  EXPECT_EQ(fabric_.packets_in_flight(), 0u);
+}
+
 // ------------------------------------------------- SMRF forwarding state ----
 
 // A random DODAG: node 0 is the root, every later node hangs under a
@@ -404,6 +475,54 @@ TEST(SmrfForwardingState, DeliveryAndFramesMatchSteinerSubtree) {
             << "seed " << seed << " send " << send;
       }
     }
+  }
+}
+
+// ------------------------------------------- packet slab at quiescence ----
+
+TEST(PacketSlab, DrainsToZeroAfterMixedLossyTraffic) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    RandomTree tree(seed, 40);
+    LinkModel lossy;
+    lossy.loss_rate = 0.2;
+    tree.fabric.set_link(lossy);
+    const Ip6Address group = PeripheralGroup(PrefixOf(tree.nodes[0]->address()), 0x44);
+    const Ip6Address anycast = *Ip6Address::Parse("2001:db8:aaaa::1");
+    tree.nodes[0]->BindAnycast(anycast);
+    tree.nodes[tree.nodes.size() - 1]->BindAnycast(anycast);
+    auto pick = [&tree] { return tree.nodes[tree.rng.UniformInt(0, tree.nodes.size() - 1)]; };
+    for (int i = 0; i < 10; ++i) {
+      pick()->JoinGroup(group);
+    }
+    uint64_t received = 0;
+    for (NetNode* node : tree.nodes) {
+      node->BindUdp(6030, [&received](const Ip6Address&, const Ip6Address&, uint16_t,
+                                      const std::vector<uint8_t>&) { ++received; });
+    }
+    size_t peak = 0;
+    for (int i = 0; i < 200; ++i) {
+      NetNode* src = pick();
+      switch (i % 4) {
+        case 0:
+          src->SendUdp(pick()->address(), 6030, {1, 2});
+          break;
+        case 1:
+          src->SendUdp(group, 6030, std::vector<uint8_t>(120, 3));  // two fragments
+          break;
+        case 2:
+          src->SendUdp(src->address(), 6030, {4});
+          break;
+        default:
+          src->SendUdp(anycast, 6030, {5});
+          break;
+      }
+      peak = std::max(peak, tree.fabric.packets_in_flight());
+    }
+    tree.sched.Run();
+    EXPECT_GT(peak, 1u) << "seed " << seed;
+    EXPECT_GT(received, 0u) << "seed " << seed;
+    EXPECT_GT(tree.fabric.frames_lost(), 0u) << "seed " << seed;
+    EXPECT_EQ(tree.fabric.packets_in_flight(), 0u) << "seed " << seed;
   }
 }
 

@@ -279,6 +279,52 @@ TEST_F(NetworkedSystem, StreamDeliversPeriodicValues) {
   EXPECT_EQ(values.size(), at_stop);  // no data after (15) closed
 }
 
+TEST_F(NetworkedSystem, ThingDropsClientBoundGroupTrafficButStillAnswersDiscovery) {
+  Tmp36& sensor = deployment_.MakeTmp36();
+  PlugAndSettle(0, sensor);
+  const Ip6Address group = PeripheralGroup(thing_.node().prefix(), kTmp36TypeId);
+  ASSERT_TRUE(thing_.node().InGroup(group));
+
+  // A peer of the same type streams to the shared group: (14) and (15),
+  // plus a stray (1).  The Thing receives all three and acts on none.
+  NetNode* peer = deployment_.AddRelayNode("peer");
+  WireValue value;
+  value.scalar = 215;
+  const std::vector<Message> client_bound = {
+      MakeAdvertisement(MessageType::kUnsolicitedAdvertisement, 1, {}),
+      MakeMessage(MessageType::kStreamData, 2, ValuePayload{kTmp36TypeId, value}),
+      MakeDeviceMessage(MessageType::kStreamClosed, 3, kTmp36TypeId)};
+  const EndpointCounters before = thing_.endpoint().counters();
+  const uint64_t received = thing_.node().datagrams_received();
+  const uint64_t dispatched = thing_.drivers().router().events_dispatched();
+  const uint64_t handled = thing_.drivers().HostForChannel(0)->events_handled();
+  for (const Message& m : client_bound) {
+    peer->SendUdp(group, kMicroPnpUdpPort, m.Serialize());
+  }
+  deployment_.RunForMillis(500);
+  EXPECT_EQ(thing_.node().datagrams_received(), received + client_bound.size());
+  const EndpointCounters& after = thing_.endpoint().counters();
+  EXPECT_EQ(after.requests_started, before.requests_started);
+  EXPECT_EQ(after.completed_ok, before.completed_ok);
+  EXPECT_EQ(after.replies_matched, before.replies_matched);
+  EXPECT_EQ(after.stale_replies_dropped, before.stale_replies_dropped);
+  EXPECT_EQ(thing_.drivers().router().events_dispatched(), dispatched);
+  EXPECT_EQ(thing_.drivers().router().pending(), 0u);
+  EXPECT_EQ(thing_.drivers().HostForChannel(0)->events_handled(), handled);
+  EXPECT_EQ(thing_.reads_served(), 0u);
+
+  // The same group still carries (2) discovery to it.
+  std::vector<MicroPnpClient::DiscoveredThing> found;
+  client_.Discover(kTmp36TypeId, /*window_ms=*/500,
+                   [&](Result<std::vector<MicroPnpClient::DiscoveredThing>> results) {
+                     ASSERT_TRUE(results.ok());
+                     found = std::move(*results);
+                   });
+  deployment_.RunForMillis(800);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].address, thing_.node().address());
+}
+
 TEST_F(NetworkedSystem, ManagerRemoteDriverManagement) {
   Tmp36& sensor = deployment_.MakeTmp36();
   PlugAndSettle(0, sensor);
